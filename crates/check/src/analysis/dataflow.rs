@@ -14,9 +14,10 @@
 //!   into a 64-bit bitset. `FULL` (all ones) is the lattice top used to
 //!   seed intersections.
 //! * **`hot-path`** ([`hot_path`]) — walks the call graph *down* from
-//!   the batched-translation entry points and the smp replay inner
-//!   loop, flagging heap allocation, `clone()`, and formatting
-//!   machinery in anything reachable. Resolution is name-based and
+//!   the batched-translation entry points, the scalar translation
+//!   path, and the smp replay inner loop, flagging heap allocation,
+//!   `clone()`, and formatting machinery in anything reachable.
+//!   Resolution is name-based and
 //!   over-approximate, so traversal is cut at constructor-shaped sinks
 //!   (`new`, `default`, …) — every workspace `new` would otherwise be
 //!   "hot" via `Vec::new` false edges — trading false negatives inside
@@ -218,12 +219,13 @@ const HOT_ROOT_NAMES: [&str; 7] = [
     "distribute_chunks",
     "stream_sync",
 ];
-/// Root functions by qualified name: the smp replay inner loops — the
-/// per-core cadence loop and the work-stealing steal/execute loops of
-/// both the finite-trace replay and the streaming pipeline.
+/// Root functions by qualified name: the scalar translation path (every
+/// smp core access runs it), the per-core cadence loop, and the
+/// work-stealing steal/execute loops of both the finite-trace replay and
+/// the streaming pipeline.
 const HOT_ROOT_QUALS: [&str; 4] = [
+    "TranslationEngine::access",
     "SmpCore::run",
-    "SmpCore::step",
     "WsWorker::run",
     "StreamWorker::run",
 ];

@@ -10,11 +10,14 @@
 //!
 //! ```text
 //! perfgate gen-corpus [--dir DIR]
-//! perfgate measure [--out FILE] [--corpus DIR] [--pr N]
+//! perfgate measure --out FILE [--corpus DIR]
 //!                  [--reps N] [--warmup N] [--quick]
 //! perfgate gate --prev FILE --curr FILE [--tolerance FRAC]
 //! perfgate self-test
 //! ```
+//!
+//! A report written to `BENCH_<n>.json` records `n` as its PR number;
+//! any other file name records 0.
 
 #![forbid(unsafe_code)]
 
@@ -62,7 +65,7 @@ fn stream_ws_cfg(decoders: usize) -> StreamConfig {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: perfgate <gen-corpus [--dir DIR]\n\
-         \x20               | measure [--out FILE] [--corpus DIR] [--pr N] [--reps N] [--warmup N]\n\
+         \x20               | measure --out FILE [--corpus DIR] [--reps N] [--warmup N]\n\
          \x20                         [--stream-decoders N] [--quick]\n\
          \x20               | gate --prev FILE --curr FILE [--tolerance FRAC] [--aggregate]\n\
          \x20               | self-test>"
@@ -80,6 +83,19 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// The PR number a report written to `out` records: `n` for a file named
+/// `BENCH_<n>.json` (in any directory), 0 for any other name.
+fn pr_of_out(out: &str) -> u32 {
+    std::path::Path::new(out)
+        .file_name()
+        .and_then(|name| name.to_str())
+        .and_then(|name| name.strip_prefix("BENCH_"))
+        .and_then(|name| name.strip_suffix(".json"))
+        .filter(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(0)
 }
 
 fn main() -> ExitCode {
@@ -152,10 +168,11 @@ fn measure(args: &[String]) -> ExitCode {
     let dir = flag_value(args, "--corpus")
         .map(PathBuf::from)
         .unwrap_or_else(default_corpus_dir);
-    let out = flag_value(args, "--out").unwrap_or_else(|| "BENCH_9.json".to_owned());
-    let pr: u32 = flag_value(args, "--pr")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(9);
+    let Some(out) = flag_value(args, "--out") else {
+        eprintln!("perfgate: measure needs --out FILE");
+        return usage();
+    };
+    let pr = pr_of_out(&out);
     let plan = measure_plan(args);
 
     let mut report = BenchReport {
@@ -532,5 +549,20 @@ fn synthetic_record(design: &str, workload: &str, path: &str, median_ns: f64) ->
         // A dyadic offset (exact in binary and at the 3 decimals the JSON
         // keeps), so the synthetic report survives a round-trip bit-exactly.
         min_ns: median_ns - 0.5,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::pr_of_out;
+
+    #[test]
+    fn the_pr_number_comes_from_the_out_name() {
+        assert_eq!(pr_of_out("BENCH_13.json"), 13);
+        assert_eq!(pr_of_out("some/dir/BENCH_7.json"), 7);
+        let others = ["target/BENCH_ci.json", "BENCH_.json", "BENCH_+7.json", "BENCH_7.txt"];
+        for other in others {
+            assert_eq!(pr_of_out(other), 0, "{other}");
+        }
     }
 }

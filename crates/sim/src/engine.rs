@@ -1,10 +1,10 @@
 //! The translation engine: trace replay against a TLB hierarchy with
 //! page-table walks through the cache hierarchy.
 
-use mixtlb_cache::{CacheHierarchy, HierarchyConfig, HierarchyStats, PageWalkCache};
+use mixtlb_cache::{AccessResult, CacheHierarchy, HierarchyConfig, HierarchyStats, PageWalkCache};
 use mixtlb_core::{BatchAccess, Lookup, MixTlb, MixTlbConfig, TlbDevice, TlbStats};
 use mixtlb_energy::WalkTraffic;
-use mixtlb_pagetable::{NestedTranslationCache, NestedWalker, PageTable, Walker};
+use mixtlb_pagetable::{NestedTranslationCache, NestedWalker, PageTable, WalkResult, Walker};
 use mixtlb_trace::TraceEvent;
 use mixtlb_types::{Asid, PageSize, Pfn, PhysAddr, Translation, VirtAddr, Vpn};
 
@@ -110,10 +110,36 @@ impl TlbHierarchy {
     }
 }
 
+/// Where a walk's PTE references go. The latency a reference returns
+/// stalls translation; anything the memory books elsewhere (a shared
+/// LLC's interleaving-dependent latency, say) is its own business.
+pub trait WalkMemory {
+    /// One PTE read or write on the walk path.
+    fn reference(&mut self, pa: PhysAddr) -> AccessResult;
+
+    /// A dirty-bit PTE write: off the critical path (Sec. 4.4), so it is
+    /// traffic, never stall cycles.
+    fn dirty_write(&mut self, pa: PhysAddr) {
+        self.reference(pa);
+    }
+}
+
+impl WalkMemory for CacheHierarchy {
+    fn reference(&mut self, pa: PhysAddr) -> AccessResult {
+        self.access(pa)
+    }
+}
+
+/// Cycles one extra serial L1 probe (a hash-rehash) costs.
+const L1_SERIAL_PROBE_CYCLES: u64 = 2;
+
 /// Which page-table structure misses walk.
 pub enum WalkBackend<'a> {
     /// A native 4-level walk.
     Native(&'a mut PageTable),
+    /// A native 4-level walk of a table the engine owns (an engine that
+    /// outlives any borrow, such as one simulated core's).
+    Owned(PageTable),
     /// A virtualized 2-D walk: guest table + host (EPT) table.
     Nested {
         /// The guest's page table (guest virtual → guest physical).
@@ -127,6 +153,7 @@ impl std::fmt::Debug for WalkBackend<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WalkBackend::Native(_) => write!(f, "WalkBackend::Native"),
+            WalkBackend::Owned(_) => write!(f, "WalkBackend::Owned"),
             WalkBackend::Nested { .. } => write!(f, "WalkBackend::Nested"),
         }
     }
@@ -148,20 +175,13 @@ impl NestedTranslationCache for NtlbAdapter<'_> {
     }
 }
 
-impl std::fmt::Debug for TranslationEngine<'_> {
+impl<M> std::fmt::Debug for TranslationEngine<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TranslationEngine")
             .field("hierarchy", &self.hierarchy)
             .field("backend", &self.backend)
             .finish()
     }
-}
-
-struct UnifiedWalk {
-    translation: Option<Translation>,
-    pte_reads: Vec<PhysAddr>,
-    pte_writes: Vec<PhysAddr>,
-    line: Vec<Translation>,
 }
 
 /// Event counters for one engine run.
@@ -177,8 +197,8 @@ pub struct EngineStats {
     pub walks: u64,
     /// Walks that faulted (should be zero after pre-faulting).
     pub faults: u64,
-    /// Translation stall cycles: L2 probe latency on L1 misses plus the
-    /// memory-reference latency of walks.
+    /// Translation stall cycles: L2 probe latency on L1 misses, extra
+    /// serial probes, and the memory-reference latency of walks.
     pub stall_cycles: u64,
     /// Walk memory traffic, for the energy model.
     pub walk_traffic: WalkTraffic,
@@ -187,12 +207,12 @@ pub struct EngineStats {
 }
 
 /// Replays trace events against a [`TlbHierarchy`], walking the configured
-/// [`WalkBackend`] on misses. PTE references go through a functional cache
-/// hierarchy; the latencies they see become translation stall cycles
-/// (paper Sec. 6.2).
-pub struct TranslationEngine<'a> {
+/// [`WalkBackend`] on misses. PTE references go through a [`WalkMemory`]
+/// (by default a functional cache hierarchy); the latencies they see
+/// become translation stall cycles (paper Sec. 6.2).
+pub struct TranslationEngine<'a, M = CacheHierarchy> {
     hierarchy: TlbHierarchy,
-    caches: CacheHierarchy,
+    memory: M,
     /// Paging-structure cache: upper-level PTE reads that hit here cost
     /// one cycle and no memory reference (Haswell's MMU caches). `None`
     /// disables it (an ablation: pre-MMU-cache hardware).
@@ -206,6 +226,10 @@ pub struct TranslationEngine<'a> {
     /// Tag for lookups and fills. [`Asid::UNTAGGED`] (the default)
     /// reproduces untagged hardware exactly.
     asid: Asid,
+    /// The devices' `serial_probes` counters when the engine took them
+    /// over. Serial-probe stalls are the change since, read whenever the
+    /// counters are: a sum over probes needs no per-access bookkeeping.
+    serial_probes_base: [u64; 2],
     stats: EngineStats,
 }
 
@@ -213,9 +237,37 @@ impl<'a> TranslationEngine<'a> {
     /// Creates an engine over a hierarchy and a walk backend, with the
     /// Haswell cache hierarchy and a 7-cycle L2 TLB latency (Sec. 4).
     pub fn new(hierarchy: TlbHierarchy, backend: WalkBackend<'a>) -> TranslationEngine<'a> {
+        TranslationEngine::with_memory(
+            hierarchy,
+            backend,
+            CacheHierarchy::new(HierarchyConfig::haswell()),
+        )
+    }
+
+    /// Finishes the run: engine counters, per-level TLB stats, and cache
+    /// statistics.
+    pub fn finish(self) -> (EngineStats, TlbStats, Option<TlbStats>, HierarchyStats) {
+        let l1 = self.hierarchy.l1.stats();
+        let l2 = self.hierarchy.l2.as_ref().map(|t| t.stats());
+        (self.stats(), l1, l2, self.memory.stats())
+    }
+}
+
+impl<'a, M: WalkMemory> TranslationEngine<'a, M> {
+    /// Creates an engine whose walks reference `memory`, otherwise as
+    /// [`TranslationEngine::new`].
+    pub fn with_memory(
+        hierarchy: TlbHierarchy,
+        backend: WalkBackend<'a>,
+        memory: M,
+    ) -> TranslationEngine<'a, M> {
+        let serial_probes_base = [
+            hierarchy.l1.stats().serial_probes,
+            hierarchy.l2.as_ref().map_or(0, |t| t.stats().serial_probes),
+        ];
         TranslationEngine {
             hierarchy,
-            caches: CacheHierarchy::new(HierarchyConfig::haswell()),
+            memory,
             pwc: Some(PageWalkCache::new(32)),
             ntlb: Some(Box::new(MixTlb::new(
                 MixTlbConfig::l1(8, 4).named("nested-tlb"),
@@ -223,6 +275,7 @@ impl<'a> TranslationEngine<'a> {
             backend,
             l2_hit_cycles: 7,
             asid: Asid::UNTAGGED,
+            serial_probes_base,
             stats: EngineStats::default(),
         }
     }
@@ -242,6 +295,21 @@ impl<'a> TranslationEngine<'a> {
     /// The hierarchy under test.
     pub fn hierarchy(&self) -> &TlbHierarchy {
         &self.hierarchy
+    }
+
+    /// The memory walks reference.
+    pub fn memory(&self) -> &M {
+        &self.memory
+    }
+
+    /// The table the trace's virtual addresses walk (the guest's under a
+    /// nested backend) — for remapping a page before a shootdown.
+    pub fn page_table_mut(&mut self) -> &mut PageTable {
+        match &mut self.backend {
+            WalkBackend::Native(pt) => pt,
+            WalkBackend::Owned(pt) => pt,
+            WalkBackend::Nested { guest, .. } => guest,
+        }
     }
 
     /// Disables the paging-structure cache (ablation: every walk reference
@@ -272,17 +340,26 @@ impl<'a> TranslationEngine<'a> {
         }
     }
 
+    /// Shoots down the page at `vpn`/`size`: sweeps both TLB levels and
+    /// flushes the paging-structure cache, whose upper-level entries may
+    /// lead to the old mapping. Untagged: a shootdown removes the page
+    /// for every address space.
+    pub fn invalidate(&mut self, vpn: Vpn, size: PageSize) {
+        self.hierarchy.l1.invalidate(vpn, size);
+        if let Some(l2) = self.hierarchy.l2.as_mut() {
+            l2.invalidate(vpn, size);
+        }
+        if let Some(pwc) = self.pwc.as_mut() {
+            pwc.flush();
+        }
+    }
+
     /// Translates one trace event. Returns the physical address, or `None`
     /// on a page fault (which is also counted).
     pub fn access(&mut self, ev: &TraceEvent) -> Option<PhysAddr> {
         self.stats.accesses += 1;
         let vpn = ev.va.vpn();
-        // L1. Extra serial probes (hash-rehash) cost pipeline bubbles.
-        let l1_serial_before = self.hierarchy.l1.stats().serial_probes;
-        let l1_result = self.hierarchy.l1.lookup_asid(self.asid, vpn, ev.kind, ev.pc);
-        let l1_serial = self.hierarchy.l1.stats().serial_probes - l1_serial_before;
-        self.stats.stall_cycles += 2 * l1_serial;
-        match l1_result {
+        match self.hierarchy.l1.lookup_asid(self.asid, vpn, ev.kind, ev.pc) {
             Lookup::Hit {
                 translation,
                 dirty_microop,
@@ -312,11 +389,7 @@ impl<'a> TranslationEngine<'a> {
             self.stats.stall_cycles += self.l2_hit_cycles;
             // lint: allow(panic) — is_some() checked in the surrounding condition
             let l2 = self.hierarchy.l2.as_mut().expect("just checked");
-            let l2_serial_before = l2.stats().serial_probes;
-            let l2_result = l2.lookup_asid(self.asid, vpn, ev.kind, ev.pc);
-            let l2_serial = l2.stats().serial_probes - l2_serial_before;
-            self.stats.stall_cycles += self.l2_hit_cycles * l2_serial;
-            match l2_result {
+            match l2.lookup_asid(self.asid, vpn, ev.kind, ev.pc) {
                 Lookup::Hit {
                     translation,
                     dirty_microop,
@@ -356,7 +429,7 @@ impl<'a> TranslationEngine<'a> {
                 self.stats.stall_cycles += 1;
                 continue;
             }
-            let result = self.caches.access(*pa);
+            let result = self.memory.reference(*pa);
             self.stats.stall_cycles += result.cycles;
             match result.level_hit {
                 Some(level) => self.stats.walk_traffic.cache_hits[level.min(2)] += 1,
@@ -364,7 +437,7 @@ impl<'a> TranslationEngine<'a> {
             }
         }
         for pa in &walk.pte_writes {
-            let result = self.caches.access(*pa);
+            let result = self.memory.reference(*pa);
             self.stats.stall_cycles += result.cycles;
             self.stats.walk_traffic.pte_writes += 1;
         }
@@ -373,20 +446,20 @@ impl<'a> TranslationEngine<'a> {
             return None;
         };
         if let Some(l2) = self.hierarchy.l2.as_mut() {
-            l2.fill_asid(self.asid, vpn, &translation, &walk.line);
+            l2.fill_asid(self.asid, vpn, &translation, &walk.line_translations);
             // A coalescing L2 may have merged this fill into an entry that
             // already covered neighbouring translations; hand the merged
             // run down so the L1 absorbs the full extent (same datapath
             // as an L2-hit handdown).
             if let Some(run) = l2.peek_run(vpn) {
-                if run.len as usize > walk.line.len() {
+                if run.len as usize > walk.line_translations.len() {
                     let line = run.translations();
                     self.hierarchy.l1.fill_asid(self.asid, vpn, &translation, &line);
                     return Some(translation);
                 }
             }
         }
-        self.hierarchy.l1.fill_asid(self.asid, vpn, &translation, &walk.line);
+        self.hierarchy.l1.fill_asid(self.asid, vpn, &translation, &walk.line_translations);
         Some(translation)
     }
 
@@ -403,9 +476,7 @@ impl<'a> TranslationEngine<'a> {
     /// with two hot-loop savings:
     ///
     /// * L1 probes go through [`TlbDevice::lookup_batch`], so the replay
-    ///   loop pays one dynamic dispatch per chunk instead of per access
-    ///   (serial-probe stalls are accounted per chunk; the per-access sum
-    ///   is identical).
+    ///   loop pays one dynamic dispatch per chunk instead of per access.
     /// * A run of *immediately consecutive* accesses to the same 4 KB page
     ///   reuses the previous access's resolution instead of re-probing —
     ///   sound because nothing can intervene between consecutive accesses
@@ -433,11 +504,6 @@ impl<'a> TranslationEngine<'a> {
         let mut batch: Vec<BatchAccess> = Vec::with_capacity(CHUNK);
         let mut lookups: Vec<Lookup> = Vec::with_capacity(CHUNK);
         let mut window: Option<ReuseWindow> = None;
-        // Serial-probe stall accounting is a sum over probes, so one
-        // before/after read of the (by-value, possibly merged) device
-        // stats covers the whole batch — scalar reads them per access,
-        // which is a large share of its per-access cost.
-        let l1_serial_before = self.hierarchy.l1.stats().serial_probes;
         let mut i = 0usize;
         while i < events.len() {
             // Fast path: drain the whole run of accesses the reuse window
@@ -495,13 +561,8 @@ impl<'a> TranslationEngine<'a> {
                 if consumed == 0 {
                     // A conforming device always consumes at least one
                     // access; fall back to the scalar path so a degenerate
-                    // implementation still makes forward progress. The
-                    // scalar path charges its own serial-probe stalls, so
-                    // back out what the batch-wide sum below will re-add.
-                    let before = self.hierarchy.l1.stats().serial_probes;
+                    // implementation still makes forward progress.
                     out[i + pos] = self.access(&events[i + pos]);
-                    let double = self.hierarchy.l1.stats().serial_probes - before;
-                    self.stats.stall_cycles -= 2 * double;
                     pos += 1;
                     continue;
                 }
@@ -533,21 +594,10 @@ impl<'a> TranslationEngine<'a> {
             }
             i += batch.len();
         }
-        let l1_serial = self.hierarchy.l1.stats().serial_probes - l1_serial_before;
-        self.stats.stall_cycles += 2 * l1_serial;
     }
 
-    fn walk(&mut self, va: VirtAddr, kind: mixtlb_types::AccessKind) -> UnifiedWalk {
+    fn walk(&mut self, va: VirtAddr, kind: mixtlb_types::AccessKind) -> WalkResult {
         match &mut self.backend {
-            WalkBackend::Native(pt) => {
-                let w = Walker::walk(pt, va, kind);
-                UnifiedWalk {
-                    translation: w.translation,
-                    pte_reads: w.pte_reads,
-                    pte_writes: w.pte_writes,
-                    line: w.line_translations,
-                }
-            }
             WalkBackend::Nested { guest, host } => {
                 let w = match self.ntlb.as_mut() {
                     Some(ntlb) => {
@@ -556,13 +606,14 @@ impl<'a> TranslationEngine<'a> {
                     }
                     None => NestedWalker::walk(guest, host, va, kind),
                 };
-                UnifiedWalk {
+                WalkResult {
                     translation: w.translation,
                     pte_reads: w.pte_reads,
                     pte_writes: w.pte_writes,
-                    line: w.line_translations,
+                    line_translations: w.line_translations,
                 }
             }
+            _ => Walker::walk(self.page_table_mut(), va, kind),
         }
     }
 
@@ -572,7 +623,6 @@ impl<'a> TranslationEngine<'a> {
     fn handle_dirty_microop(&mut self, vpn: Vpn) {
         self.stats.dirty_microops += 1;
         let pte_pa = match &mut self.backend {
-            WalkBackend::Native(pt) => pt.set_dirty(vpn),
             WalkBackend::Nested { guest, host } => {
                 // The guest PTE's dirty bit lives at a guest-physical
                 // address; route the write through the EPT mapping.
@@ -581,24 +631,29 @@ impl<'a> TranslationEngine<'a> {
                         .and_then(|h| h.translate(VirtAddr::new(gpa.raw())).ok())
                 })
             }
+            _ => self.page_table_mut().set_dirty(vpn),
         };
         if let Some(pa) = pte_pa {
-            self.caches.access(pa);
+            self.memory.dirty_write(pa);
             self.stats.walk_traffic.pte_writes += 1;
         }
     }
 
-    /// Finishes the run: engine counters, per-level TLB stats, and cache
-    /// statistics.
-    pub fn finish(self) -> (EngineStats, TlbStats, Option<TlbStats>, HierarchyStats) {
-        let l1 = self.hierarchy.l1.stats();
-        let l2 = self.hierarchy.l2.as_ref().map(|t| t.stats());
-        (self.stats, l1, l2, self.caches.stats())
+    /// Trace events replayed so far: [`TranslationEngine::stats`]'s
+    /// `accesses`, without reading the devices' counters.
+    pub fn accesses(&self) -> u64 {
+        self.stats.accesses
     }
 
     /// The running counters (without consuming the engine).
     pub fn stats(&self) -> EngineStats {
-        self.stats
+        let l1 = self.hierarchy.l1.stats().serial_probes - self.serial_probes_base[0];
+        let l2 = self.hierarchy.l2.as_ref().map_or(0, |t| {
+            t.stats().serial_probes - self.serial_probes_base[1]
+        });
+        let mut stats = self.stats;
+        stats.stall_cycles += L1_SERIAL_PROBE_CYCLES * l1 + self.l2_hit_cycles * l2;
+        stats
     }
 }
 

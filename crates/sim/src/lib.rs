@@ -45,7 +45,7 @@ mod model;
 mod scenario;
 mod vm;
 
-pub use engine::{EngineStats, TlbHierarchy, TranslationEngine, WalkBackend};
+pub use engine::{EngineStats, TlbHierarchy, TranslationEngine, WalkBackend, WalkMemory};
 pub use model::{improvement_percent, PerfModel, PerfReport};
 pub use scenario::{NativeScenario, PolicyChoice, ScenarioConfig};
 pub use vm::{VirtConfig, VirtScenario};

@@ -1,16 +1,19 @@
-//! One simulated core: private TLB hierarchy, private caches, PWC, its
-//! own page table, and its trace stream.
+//! One simulated core: a translation engine over its private TLB
+//! hierarchy, private caches and page table, plus its trace stream and
+//! shootdown cadence.
+
+use std::sync::Arc;
 
 // Atomics come from mixtlb-check's facade (instrumented under the `model`
 // feature, plain `std::sync::atomic` re-exports otherwise).
 use mixtlb_check::sync::{AtomicU64, Ordering};
 
-use mixtlb_cache::{CacheHierarchy, HierarchyConfig, PageWalkCache, SharedCache};
-use mixtlb_core::{Lookup, TlbStats};
-use mixtlb_pagetable::{PageTable, Walker};
-use mixtlb_sim::TlbHierarchy;
-use mixtlb_trace::{TraceEvent, TraceGenerator};
-use mixtlb_types::{Asid, PhysAddr, Pfn, Vpn};
+use mixtlb_cache::{AccessResult, CacheHierarchy, HierarchyConfig, SharedCache};
+use mixtlb_core::TlbStats;
+use mixtlb_pagetable::PageTable;
+use mixtlb_sim::{TlbHierarchy, TranslationEngine, WalkBackend, WalkMemory};
+use mixtlb_trace::TraceGenerator;
+use mixtlb_types::{Asid, PhysAddr, Pfn, Translation, Vpn};
 
 use crate::shootdown::{ShootdownModel, SweepWidths};
 
@@ -34,8 +37,9 @@ pub struct CoreStats {
     pub faults: u64,
     /// Dirty-bit update micro-ops on store hits.
     pub dirty_microops: u64,
-    /// Deterministic stall cycles: L2 TLB probe latency plus private-cache
-    /// latency of walk references.
+    /// Deterministic stall cycles (the engine's `stall_cycles`): L2 TLB
+    /// probe latency, extra serial probes, and private-cache latency of
+    /// walk references.
     pub local_stall_cycles: u64,
     /// Stall cycles from shared-LLC/DRAM walk references
     /// (interleaving-dependent; excluded from determinism comparisons).
@@ -64,6 +68,52 @@ pub struct CoreStats {
     /// Machine-wide TLB sets swept under the epoch-batched model for
     /// epochs this core closed (eager counterpart: `sets_swept_global`).
     pub sets_swept_global_epoch: u64,
+}
+
+/// The memory one core's walks reference: its private L1D/L2
+/// ([`HierarchyConfig::haswell_private`]), then the machine's shared LLC
+/// behind a private miss. Private latency stalls translation and is
+/// deterministic; LLC latency depends on how the cores interleave, so it
+/// is booked apart, in [`SmpWalkMemory::llc_stall_cycles`].
+#[derive(Debug)]
+pub struct SmpWalkMemory {
+    private: CacheHierarchy,
+    llc: Arc<SharedCache>,
+    llc_stall_cycles: u64,
+}
+
+impl SmpWalkMemory {
+    /// Fresh private caches in front of `llc`.
+    pub fn new(llc: Arc<SharedCache>) -> SmpWalkMemory {
+        SmpWalkMemory {
+            private: CacheHierarchy::new(HierarchyConfig::haswell_private()),
+            llc,
+            llc_stall_cycles: 0,
+        }
+    }
+
+    /// Cycles walk references spent in the shared LLC (or DRAM behind it).
+    pub fn llc_stall_cycles(&self) -> u64 {
+        self.llc_stall_cycles
+    }
+}
+
+impl WalkMemory for SmpWalkMemory {
+    fn reference(&mut self, pa: PhysAddr) -> AccessResult {
+        let private = self.private.access(pa);
+        // `dram` here means "left the core": the LLC answers (or DRAM
+        // behind it).
+        if private.dram {
+            self.llc_stall_cycles += self.llc.access(pa).cycles;
+        }
+        private
+    }
+
+    fn dirty_write(&mut self, pa: PhysAddr) {
+        if self.private.access(pa).dram {
+            self.llc.access(pa);
+        }
+    }
 }
 
 /// What one core must know about one *remote* core to charge shootdown
@@ -125,11 +175,9 @@ impl AbsorbedLedger {
 /// One core of an [`crate::SmpMachine`].
 pub struct SmpCore {
     pub(crate) id: usize,
-    pub(crate) asid: Asid,
-    pub(crate) hierarchy: TlbHierarchy,
-    caches: CacheHierarchy,
-    pwc: PageWalkCache,
-    pub(crate) pt: PageTable,
+    /// The core's one translation datapath: TLBs, PWC, walks of its own
+    /// page table through [`SmpWalkMemory`].
+    pub(crate) engine: TranslationEngine<'static, SmpWalkMemory>,
     generator: TraceGenerator,
     region: Vpn,
     footprint_pages: u64,
@@ -144,7 +192,8 @@ pub struct SmpCore {
     pending_invalidations: [u64; 3],
     pub(crate) sweep: SweepWidths,
     pub(crate) tables: ShootdownTables,
-    l2_hit_cycles: u64,
+    /// The shootdown counters; the translation counters live in the
+    /// engine and are merged in by [`SmpCore::stats`].
     stats: CoreStats,
 }
 
@@ -152,16 +201,15 @@ impl std::fmt::Debug for SmpCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SmpCore")
             .field("id", &self.id)
-            .field("asid", &self.asid)
-            .field("design", &self.hierarchy.name())
+            .field("asid", &self.asid())
+            .field("design", &self.engine.hierarchy().name())
             .finish()
     }
 }
 
 impl SmpCore {
-    /// Assembles a core. The private cache hierarchy is the Haswell
-    /// L1D+L2 ([`HierarchyConfig::haswell_private`]); misses continue into
-    /// the machine's shared LLC.
+    /// Assembles a core. Walks go through [`SmpWalkMemory`]: private
+    /// caches, then the machine's shared `llc`.
     pub fn new(
         id: usize,
         hierarchy: TlbHierarchy,
@@ -169,19 +217,17 @@ impl SmpCore {
         generator: TraceGenerator,
         region: Vpn,
         footprint_pages: u64,
+        llc: Arc<SharedCache>,
     ) -> SmpCore {
+        let mut engine = TranslationEngine::with_memory(
+            hierarchy,
+            WalkBackend::Owned(pt),
+            SmpWalkMemory::new(llc),
+        );
+        engine.set_asid(Asid::for_index(id));
         SmpCore {
             id,
-            // Wrapping index→tag mapping: core ids are unbounded, hardware
-            // tags are 12-bit. `Asid::new(id as u16 + 1)` panicked at id
-            // 4095 and silently truncated ids ≥ 65536; wrapped collisions
-            // are harmless here because each core's TLBs are private and
-            // run exactly one space.
-            asid: Asid::for_index(id),
-            hierarchy,
-            caches: CacheHierarchy::new(HierarchyConfig::haswell_private()),
-            pwc: PageWalkCache::new(32),
-            pt,
+            engine,
             generator,
             region,
             footprint_pages: footprint_pages.max(1),
@@ -191,7 +237,6 @@ impl SmpCore {
             pending_invalidations: [0; 3],
             sweep: SweepWidths::default(),
             tables: ShootdownTables::default(),
-            l2_hit_cycles: 7,
             stats: CoreStats::default(),
         }
     }
@@ -220,12 +265,28 @@ impl SmpCore {
 
     /// The core's address-space identifier.
     pub fn asid(&self) -> Asid {
-        self.asid
+        // Wrapping index→tag mapping: core ids are unbounded, hardware
+        // tags are 12-bit. `Asid::new(id as u16 + 1)` panicked at id 4095
+        // and silently truncated ids ≥ 65536; wrapped collisions are
+        // harmless here because each core's TLBs are private and run
+        // exactly one space.
+        Asid::for_index(self.id)
     }
 
     /// The running counters.
     pub fn stats(&self) -> CoreStats {
-        self.stats
+        let e = self.engine.stats();
+        CoreStats {
+            accesses: e.accesses,
+            l1_hits: e.l1_hits,
+            l2_hits: e.l2_hits,
+            walks: e.walks,
+            faults: e.faults,
+            dirty_microops: e.dirty_microops,
+            local_stall_cycles: e.stall_cycles,
+            llc_stall_cycles: self.engine.memory().llc_stall_cycles(),
+            ..self.stats
+        }
     }
 
     /// Mutable access for the machine's quiesced shootdown path.
@@ -235,12 +296,12 @@ impl SmpCore {
 
     /// The L1 TLB statistics.
     pub fn l1_stats(&self) -> TlbStats {
-        self.hierarchy.l1.stats()
+        self.engine.hierarchy().l1.stats()
     }
 
     /// The L2 TLB statistics, if an L2 is configured.
     pub fn l2_stats(&self) -> Option<TlbStats> {
-        self.hierarchy.l2.as_ref().map(|t| t.stats())
+        self.engine.hierarchy().l2.as_ref().map(|t| t.stats())
     }
 
     /// Replays `refs` events, initiating shootdowns on the configured
@@ -250,16 +311,16 @@ impl SmpCore {
     /// interleaving-independent. When an epoch cadence is configured, a
     /// trailing partial epoch is closed before returning, so the eager
     /// and epoch-batched ledgers cover the same invalidations.
-    pub(crate) fn run(&mut self, refs: u64, llc: &SharedCache, absorbed: &AbsorbedLedger) {
+    pub(crate) fn run(&mut self, refs: u64, absorbed: &AbsorbedLedger) {
         for _ in 0..refs {
             // lint: allow(panic) — trace generators are infinite iterators
             let ev = self.generator.next().expect("generator is infinite");
-            self.step(&ev, llc);
-            if self.shootdown_interval > 0 && self.stats.accesses.is_multiple_of(self.shootdown_interval)
-            {
+            self.engine.access(&ev);
+            let accesses = self.engine.accesses();
+            if self.shootdown_interval > 0 && accesses.is_multiple_of(self.shootdown_interval) {
                 self.initiate_shootdown(absorbed);
             }
-            if self.epoch_interval > 0 && self.stats.accesses.is_multiple_of(self.epoch_interval) {
+            if self.epoch_interval > 0 && accesses.is_multiple_of(self.epoch_interval) {
                 self.close_epoch(absorbed);
             }
         }
@@ -268,113 +329,18 @@ impl SmpCore {
         }
     }
 
-    /// Translates one event through TLBs, walks, private caches, and the
-    /// shared LLC. Returns the physical address (`None` on a fault).
-    pub(crate) fn step(&mut self, ev: &TraceEvent, llc: &SharedCache) -> Option<PhysAddr> {
-        self.stats.accesses += 1;
-        let vpn = ev.va.vpn();
-        match self.hierarchy.l1.lookup_asid(self.asid, vpn, ev.kind, ev.pc) {
-            Lookup::Hit {
-                translation,
-                dirty_microop,
-                ..
-            } => {
-                if dirty_microop {
-                    self.handle_dirty_microop(vpn, llc);
-                }
-                self.stats.l1_hits += 1;
-                return translation.translate(ev.va).ok();
-            }
-            Lookup::Miss => {}
-        }
-        if self.hierarchy.l2.is_some() {
-            self.stats.local_stall_cycles += self.l2_hit_cycles;
-            // lint: allow(panic) — is_some() checked in the surrounding condition
-            let l2 = self.hierarchy.l2.as_mut().expect("just checked");
-            match l2.lookup_asid(self.asid, vpn, ev.kind, ev.pc) {
-                Lookup::Hit {
-                    translation,
-                    dirty_microop,
-                    run,
-                } => {
-                    if dirty_microop {
-                        self.handle_dirty_microop(vpn, llc);
-                    }
-                    self.stats.l2_hits += 1;
-                    match run {
-                        Some(run) if run.len > 1 => {
-                            let line = run.translations();
-                            self.hierarchy.l1.fill_asid(self.asid, vpn, &translation, &line);
-                        }
-                        _ => {
-                            self.hierarchy
-                                .l1
-                                .fill_asid(self.asid, vpn, &translation, &[translation]);
-                        }
-                    }
-                    return translation.translate(ev.va).ok();
-                }
-                Lookup::Miss => {}
-            }
-        }
-        // Walk the core's page table; PTE references go through the
-        // private caches, then the shared LLC.
-        self.stats.walks += 1;
-        let walk = Walker::walk(&mut self.pt, ev.va, ev.kind);
-        let last = walk.pte_reads.len().saturating_sub(1);
-        for (i, pa) in walk.pte_reads.iter().enumerate() {
-            if i != last && self.pwc.access(*pa) {
-                self.stats.local_stall_cycles += 1;
-                continue;
-            }
-            self.memory_reference(*pa, llc);
-        }
-        for pa in &walk.pte_writes {
-            self.memory_reference(*pa, llc);
-        }
-        let Some(translation) = walk.translation else {
-            self.stats.faults += 1;
-            return None;
-        };
-        if let Some(l2) = self.hierarchy.l2.as_mut() {
-            l2.fill_asid(self.asid, vpn, &translation, &walk.line_translations);
-            if let Some(run) = l2.peek_run(vpn) {
-                if run.len as usize > walk.line_translations.len() {
-                    let line = run.translations();
-                    self.hierarchy.l1.fill_asid(self.asid, vpn, &translation, &line);
-                    return translation.translate(ev.va).ok();
-                }
-            }
-        }
-        self.hierarchy
-            .l1
-            .fill_asid(self.asid, vpn, &translation, &walk.line_translations);
-        translation.translate(ev.va).ok()
-    }
-
-    /// A memory reference on the walk path: private L1D/L2, and the
-    /// shared LLC behind a private miss. Private latency is deterministic;
-    /// LLC latency is booked separately.
-    fn memory_reference(&mut self, pa: PhysAddr, llc: &SharedCache) {
-        let private = self.caches.access(pa);
-        self.stats.local_stall_cycles += private.cycles;
-        if private.dram {
-            // The private hierarchy missed everywhere; `dram` here means
-            // "left the core" — the LLC answers (or DRAM behind it).
-            let shared = llc.access(pa);
-            self.stats.llc_stall_cycles += shared.cycles;
-        }
-    }
-
-    fn handle_dirty_microop(&mut self, vpn: Vpn, llc: &SharedCache) {
-        self.stats.dirty_microops += 1;
-        if let Some(pa) = self.pt.set_dirty(vpn) {
-            // Off the critical path (Sec. 4.4): traffic, not stall cycles.
-            let private = self.caches.access(pa);
-            if private.dram {
-                llc.access(pa);
-            }
-        }
+    /// Migrates the page covering `vpn` to a new frame (flipping a high
+    /// frame bit, which keeps alignment; the functional model only needs
+    /// the frame to differ) and sweeps it from the local TLBs and MMU
+    /// caches. Returns the old mapping, or `None` if `vpn` is unmapped.
+    pub(crate) fn migrate(&mut self, vpn: Vpn) -> Option<Translation> {
+        let pt = self.engine.page_table_mut();
+        let t = pt.lookup(vpn)?;
+        pt.remap(t.vpn, t.size, Pfn::new(t.pfn.raw() ^ (1 << 33)))
+            // lint: allow(panic) — the mapping was just looked up on this core's table
+            .expect("page was just looked up");
+        self.engine.invalidate(t.vpn, t.size);
+        Some(t)
     }
 
     /// Initiates one shootdown: deterministically pick a mapped page of
@@ -390,15 +356,7 @@ impl SmpCore {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             >> 11;
         let vpn = Vpn::new(self.region.raw() + idx % self.footprint_pages);
-        let Some(t) = self.pt.lookup(vpn) else { return };
-        // Migrate to a different frame (functional model: the new frame
-        // only needs to be distinct).
-        let new_pfn = Pfn::new(t.pfn.raw() ^ (1 << 33));
-        self.pt
-            .remap(t.vpn, t.size, new_pfn)
-            // lint: allow(panic) — the mapping was just looked up on this core's table
-            .expect("page was just looked up");
-        self.apply_local_invalidation(t.vpn, t.size);
+        let Some(t) = self.migrate(vpn) else { return };
         let code = t.size.encode() as usize;
         self.stats.shootdowns_initiated += 1;
         self.stats.sets_swept_local += self.sweep.by_size[code];
@@ -451,18 +409,5 @@ impl SmpCore {
         self.stats.shootdown_cycles_epoch += cost;
         self.stats.sets_swept_global_epoch += global_swept;
         self.pending_invalidations = [0; 3];
-    }
-
-    /// Sweeps the local TLBs and MMU caches for a shootdown of
-    /// `vpn`/`size` (used both for self-initiated shootdowns and for the
-    /// quiesced broadcast path).
-    pub(crate) fn apply_local_invalidation(&mut self, vpn: Vpn, size: mixtlb_types::PageSize) {
-        // Untagged invalidation: a shootdown removes the page for every
-        // space (the kernel does not know which ASIDs cached it).
-        self.hierarchy.l1.invalidate(vpn, size);
-        if let Some(l2) = self.hierarchy.l2.as_mut() {
-            l2.invalidate(vpn, size);
-        }
-        self.pwc.flush();
     }
 }

@@ -55,7 +55,7 @@ mod shootdown;
 mod stress;
 mod ws;
 
-pub use crate::core::{CoreStats, SmpCore};
+pub use crate::core::{CoreStats, SmpCore, SmpWalkMemory};
 pub use deque::ChunkDeque;
 pub use pipeline::{
     stream_chunks, stream_replay_ws, ChunkBuf, PoolStats, StreamConfig, StreamReport,

@@ -5,29 +5,30 @@
 // re-exports in production, instrumented schedule-point wrappers under the
 // `model` feature (see crates/check).
 use mixtlb_check::sync::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mixtlb_cache::{SharedCache, SharedCacheConfig, SharedCacheStats};
+use mixtlb_cache::{SharedCache, SharedCacheStats};
 use mixtlb_core::TlbStats;
 use mixtlb_trace::TraceEvent;
-use mixtlb_types::{Asid, PageSize, PhysAddr, Pfn, Vpn};
+use mixtlb_types::{Asid, PageSize, PhysAddr, Vpn};
 
 use crate::core::{AbsorbedLedger, CoreStats, RemoteTables, ShootdownTables, SmpCore};
 use crate::shootdown::{ShootdownModel, SweepWidths};
 
 /// An N-core machine sharing one LLC.
 ///
-/// Each [`SmpCore`] owns its TLB hierarchy, private caches, page-walk
-/// cache, page table, and trace generator; the only shared mutable state
-/// is the sharded [`SharedCache`] and the per-core absorbed-shootdown
-/// counters (atomics). Both replay drivers —
+/// Each [`SmpCore`] owns one translation engine (TLB hierarchy, private
+/// caches, page-walk cache, page table) and a trace generator; the only
+/// shared mutable state is the sharded [`SharedCache`] and the per-core
+/// absorbed-shootdown counters (atomics). Both replay drivers —
 /// [`SmpMachine::run_parallel`] and [`SmpMachine::run_serial`] — produce
 /// bit-identical per-core [`CoreStats`] (modulo the documented
 /// `llc_stall_cycles` field) and [`TlbStats`], because everything a
 /// worker thread reads about *other* cores is precomputed geometry.
 pub struct SmpMachine {
     cores: Vec<SmpCore>,
-    llc: SharedCache,
+    llc: Arc<SharedCache>,
     model: ShootdownModel,
     /// Shootdown cycles absorbed by each core from *other* cores'
     /// shootdowns, under both pricing models. Atomic adds are
@@ -153,13 +154,14 @@ impl SmpReport {
 }
 
 impl SmpMachine {
-    /// Builds a machine from assembled cores, wiring the shootdown cost
-    /// tables: for each core and page size, how many sets its own sweep
-    /// touches, what the initiator pays machine-wide, and what each
-    /// remote absorbs. All of it is geometry — `invalidate_sets` depends
-    /// on TLB configuration, never contents — so worker threads never
-    /// inspect another core's state during replay.
-    pub fn new(mut cores: Vec<SmpCore>, llc_config: SharedCacheConfig, model: ShootdownModel) -> SmpMachine {
+    /// Builds a machine from cores assembled around `llc`, wiring the
+    /// shootdown cost tables: for each core and page size, how many sets
+    /// its own sweep touches, what the initiator pays machine-wide, and
+    /// what each remote absorbs. All of it is geometry —
+    /// `invalidate_sets` depends on TLB configuration, never contents —
+    /// so worker threads never inspect another core's state during
+    /// replay.
+    pub fn new(mut cores: Vec<SmpCore>, llc: Arc<SharedCache>, model: ShootdownModel) -> SmpMachine {
         assert!(!cores.is_empty(), "an SMP machine needs at least one core");
         // Per-core sweep widths per size. Vpn 0 is aligned for every page
         // size, and sweep width is content-independent, so one probe per
@@ -170,14 +172,15 @@ impl SmpMachine {
                 let mut w = SweepWidths::default();
                 for size in PageSize::ALL {
                     w.by_size[size.encode() as usize] =
-                        c.hierarchy.invalidate_sets(Vpn::new(0), size);
+                        c.engine.hierarchy().invalidate_sets(Vpn::new(0), size);
                 }
                 w
             })
             .collect();
         // Full-flush ceilings per core: what one whole-hierarchy flush
         // costs in set visits, which caps a batched epoch sweep.
-        let flush_ceilings: Vec<u64> = cores.iter().map(|c| c.hierarchy.flush_sets()).collect();
+        let flush_ceilings: Vec<u64> =
+            cores.iter().map(|c| c.engine.hierarchy().flush_sets()).collect();
         let n = cores.len();
         for (i, core) in cores.iter_mut().enumerate() {
             core.sweep = widths[i];
@@ -216,7 +219,7 @@ impl SmpMachine {
         }
         SmpMachine {
             cores,
-            llc: SharedCache::new(llc_config),
+            llc,
             model,
             absorbed: AbsorbedLedger::with_cores(n),
         }
@@ -245,11 +248,10 @@ impl SmpMachine {
     /// the wall-clock time.
     pub fn run_parallel(&mut self, refs: u64) -> SmpReport {
         let start = Instant::now();
-        let llc = &self.llc;
         let absorbed = &self.absorbed;
         std::thread::scope(|s| {
             for core in self.cores.iter_mut() {
-                s.spawn(move || core.run(refs, llc, absorbed));
+                s.spawn(move || core.run(refs, absorbed));
             }
         });
         self.report(start.elapsed())
@@ -261,10 +263,9 @@ impl SmpMachine {
     /// [`SmpMachine::run_parallel`].
     pub fn run_serial(&mut self, refs: u64) -> SmpReport {
         let start = Instant::now();
-        let llc = &self.llc;
         let absorbed = &self.absorbed;
         for core in self.cores.iter_mut() {
-            core.run(refs, llc, absorbed);
+            core.run(refs, absorbed);
         }
         self.report(start.elapsed())
     }
@@ -303,8 +304,7 @@ impl SmpMachine {
 
     /// Translates one event on one core while the machine is quiesced.
     pub fn access(&mut self, core: usize, ev: &TraceEvent) -> Option<PhysAddr> {
-        let llc = &self.llc;
-        self.cores[core].step(ev, llc)
+        self.cores[core].engine.access(ev)
     }
 
     /// Migrates the page covering `vpn` to a fresh frame in **every**
@@ -314,20 +314,13 @@ impl SmpMachine {
     /// and MMU caches. Returns the page size of the initiator's mapping,
     /// or `None` if `vpn` is unmapped on the initiator.
     pub fn broadcast_remap(&mut self, initiator: usize, vpn: Vpn) -> Option<PageSize> {
-        let t = self.cores[initiator].pt.lookup(vpn)?;
+        let t = self.cores[initiator].engine.page_table_mut().lookup(vpn)?;
         let code = t.size.encode() as usize;
         for core in self.cores.iter_mut() {
             // Each core's space maps the region with its own frames (and
             // possibly its own page size); migrate its local mapping.
-            if let Some(local) = core.pt.lookup(vpn) {
-                let new_pfn = Pfn::new(local.pfn.raw() ^ (1 << 33));
-                core.pt
-                    .remap(local.vpn, local.size, new_pfn)
-                    // lint: allow(panic) — the mapping was just looked up on this core's table
-                    .expect("mapping was just looked up");
-                core.apply_local_invalidation(local.vpn, local.size);
-            } else {
-                core.apply_local_invalidation(t.vpn, t.size);
+            if core.migrate(vpn).is_none() {
+                core.engine.invalidate(t.vpn, t.size);
             }
         }
         // Charge the initiator's precomputed machine-wide cost.

@@ -3,12 +3,14 @@
 //! set-up, where distinct processes pressure distinct page tables but
 //! share the last-level cache and the shootdown fabric).
 
+use std::sync::Arc;
+
 use mixtlb_mem::{MemoryConfig, PhysicalMemory};
 use mixtlb_os::{Kernel, PagingPolicy, SpaceId, ThsConfig};
 use mixtlb_trace::{TraceGenerator, WorkloadSpec};
 use mixtlb_types::{Permissions, Vpn, PAGE_SIZE_4K};
 
-use mixtlb_cache::SharedCacheConfig;
+use mixtlb_cache::{SharedCache, SharedCacheConfig};
 use mixtlb_sim::TlbHierarchy;
 
 use crate::core::SmpCore;
@@ -203,18 +205,20 @@ impl MultiProgrammedScenario {
         llc: SharedCacheConfig,
         model: ShootdownModel,
     ) -> SmpMachine {
-        let cores = self
-            .specs
-            .iter()
-            .zip(&self.spaces)
-            .enumerate()
-            .map(|(i, (spec, space))| {
-                let pt = self.kernel.space(*space).page_table().clone();
-                let generator =
-                    TraceGenerator::new(spec, core_seed(self.cfg.seed, i), self.region);
-                SmpCore::new(i, factory(), pt, generator, self.region, spec.footprint_pages())
-                    .with_shootdown_interval(self.cfg.shootdown_interval)
-                    .with_epoch_interval(self.cfg.epoch_interval)
+        let llc = Arc::new(SharedCache::new(llc));
+        let cores = (0..self.core_count())
+            .map(|i| {
+                SmpCore::new(
+                    i,
+                    factory(),
+                    self.clone_page_table(i),
+                    self.generator(i),
+                    self.region,
+                    self.specs[i].footprint_pages(),
+                    Arc::clone(&llc),
+                )
+                .with_shootdown_interval(self.cfg.shootdown_interval)
+                .with_epoch_interval(self.cfg.epoch_interval)
             })
             .collect();
         SmpMachine::new(cores, llc, model)

@@ -159,10 +159,13 @@ impl WorkloadSpec {
     }
 
     /// The same workload with a scaled footprint (simulation tractability;
-    /// the pattern is footprint-relative).
+    /// the pattern is footprint-relative), rounded down to whole 4 KB
+    /// pages: the OS maps [`WorkloadSpec::footprint_pages`] and the
+    /// generator draws over every footprint byte, so a partial last page
+    /// would be touched but never mapped.
     pub fn with_footprint(mut self, bytes: u64) -> WorkloadSpec {
         assert!(bytes >= PAGE_SIZE_4K, "footprint below one page");
-        self.footprint_bytes = bytes;
+        self.footprint_bytes = bytes / PAGE_SIZE_4K * PAGE_SIZE_4K;
         self
     }
 
@@ -205,6 +208,8 @@ mod tests {
     fn footprint_scaling() {
         let w = WorkloadSpec::by_name("mcf").unwrap().with_footprint(1 << 30);
         assert_eq!(w.footprint_pages(), 262_144);
+        let partial = w.with_footprint((1 << 30) + 3276);
+        assert_eq!(partial.footprint_bytes, 1 << 30, "whole pages only");
     }
 
     #[test]
