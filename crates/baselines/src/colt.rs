@@ -737,7 +737,11 @@ mod tests {
             Lookup::Hit { run: Some(run), .. } => {
                 assert_eq!(run.len, 3);
                 assert_eq!(run.first.vpn, Vpn::new(0x200));
-                assert_eq!(run.translations().len(), 3);
+                let mut line = Vec::new();
+                run.expand_into(&mut line);
+                assert_eq!(line.len(), 3);
+                assert_eq!(line[2].vpn, Vpn::new(0x202));
+                assert_eq!(line[2].pfn, Pfn::new(0x702));
             }
             other => panic!("expected a hit with a run, got {other:?}"),
         }

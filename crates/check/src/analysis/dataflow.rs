@@ -360,20 +360,28 @@ fn call_path(
     names.join(" -> ")
 }
 
-/// Paired `Type::method(` patterns that allocate.
-const PATH_ALLOC: [(&str, &str); 4] = [
+/// Paired `Type::method(` patterns that allocate. `Vec::with_capacity`
+/// is deliberately absent: per-walk and per-batch buffers still use it
+/// (see DESIGN.md §8).
+const PATH_ALLOC: [(&str, &str); 8] = [
     ("Box", "new"),
     ("String", "new"),
     ("String", "from"),
     ("Vec", "new"),
+    ("BTreeSet", "new"),
+    ("BTreeMap", "new"),
+    ("HashMap", "new"),
+    ("HashSet", "new"),
 ];
 
-/// `.method(` calls that allocate or format.
-const METHOD_SITES: [(&str, &str); 4] = [
+/// `.method(` calls that allocate or format. `.collect()` also matches
+/// with a turbofish (`.collect::<Vec<_>>()`): it builds a new container.
+const METHOD_SITES: [(&str, &str); 5] = [
     ("clone", "clone() call"),
     ("to_string", "formatting"),
     ("to_owned", "heap allocation"),
     ("to_vec", "heap allocation"),
+    ("collect", "heap allocation"),
 ];
 
 /// Formatting/allocating macros.
@@ -422,6 +430,10 @@ fn scan_hot_sites(toks: &[Tok], from: usize, to: usize) -> Vec<HotSite> {
                             ("Box", _) => "Box::new",
                             ("String", "new") => "String::new",
                             ("String", _) => "String::from",
+                            ("BTreeSet", _) => "BTreeSet::new",
+                            ("BTreeMap", _) => "BTreeMap::new",
+                            ("HashMap", _) => "HashMap::new",
+                            ("HashSet", _) => "HashSet::new",
                             _ => "Vec::new",
                         },
                         category: "heap allocation",
@@ -430,8 +442,10 @@ fn scan_hot_sites(toks: &[Tok], from: usize, to: usize) -> Vec<HotSite> {
                 }
             }
         }
-        // `.method()` clones/formatters (preceded by `.`).
-        if i > 0 && toks[i - 1].is(".") && next_is(1, "(") {
+        // `.method()` clones/formatters (preceded by `.`), and
+        // `.collect::<…>()`.
+        let turbofish = t.text == "collect" && next_is(1, "::");
+        if i > 0 && toks[i - 1].is(".") && (next_is(1, "(") || turbofish) {
             if let Some((_, cat)) = METHOD_SITES.iter().find(|(m, _)| *m == t.text) {
                 out.push(HotSite {
                     line: t.line,
@@ -439,6 +453,7 @@ fn scan_hot_sites(toks: &[Tok], from: usize, to: usize) -> Vec<HotSite> {
                         "clone" => ".clone()",
                         "to_string" => ".to_string()",
                         "to_owned" => ".to_owned()",
+                        "collect" => ".collect()",
                         _ => ".to_vec()",
                     },
                     category: cat,

@@ -246,6 +246,29 @@ fn hot_path_fixture_pair() {
 }
 
 #[test]
+fn hot_path_flags_container_construction() {
+    let dirty = [lib(
+        "crates/fixture/src/lib.rs",
+        include_str!("fixtures/analysis/hot_path_collect_dirty.rs"),
+    )];
+    assert_eq!(rules_fired(&dirty), ["hot-path"]);
+    let report = analyze(&dirty);
+    let mut what: Vec<&str> = report
+        .findings
+        .iter()
+        .map(|f| {
+            assert!(f.message.contains("`Tlb::mirror_sets`"), "{f:?}");
+            f.message.split('`').nth(1).unwrap_or("")
+        })
+        .collect();
+    what.sort_unstable();
+    assert_eq!(
+        what,
+        [".collect()", ".collect()", "BTreeSet::new", "HashMap::new"]
+    );
+}
+
+#[test]
 fn bit_pack_overflow_fixture_pair() {
     let dirty = [lib(
         "crates/fixture/src/lib.rs",

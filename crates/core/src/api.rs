@@ -15,16 +15,18 @@ pub struct CoalescedRun {
 }
 
 impl CoalescedRun {
-    /// Expands the run into individual translations (for fill lines).
-    pub fn translations(&self) -> Vec<Translation> {
+    /// Expands the run into individual translations (a fill line),
+    /// replacing the contents of `out`. Callers keep one buffer and
+    /// refill it, so a hand-down allocates nothing once the buffer has
+    /// grown to the longest run.
+    pub fn expand_into(&self, out: &mut Vec<Translation>) {
         let step = self.first.size.pages_4k();
-        (0..u64::from(self.len))
-            .map(|i| Translation {
-                vpn: self.first.vpn.add_4k(i * step),
-                pfn: self.first.pfn.add_4k(i * step),
-                ..self.first
-            })
-            .collect()
+        out.clear();
+        out.extend((0..u64::from(self.len)).map(|i| Translation {
+            vpn: self.first.vpn.add_4k(i * step),
+            pfn: self.first.pfn.add_4k(i * step),
+            ..self.first
+        }));
     }
 }
 

@@ -1,12 +1,11 @@
 //! The MIX TLB: one set-associative array for all page sizes.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use mixtlb_types::{AccessKind, Asid, PageSize, Permissions, Pfn, Translation, Vpn};
 
 use crate::api::{Lookup, TlbDevice, TlbStats};
-use crate::storage::SetStorage;
+use crate::storage::{SetStorage, SlotKey};
 
 /// How a MIX TLB entry records coalesced translations (paper Sec. 4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,6 +244,78 @@ impl MixEntry {
     }
 }
 
+impl SlotKey for MixEntry {
+    /// `(size, bundle_base)`: the tag every probe compares first.
+    fn key(&self) -> u64 {
+        self.bundle_base.sized_key(self.size)
+    }
+}
+
+/// The sets a fill mirrors into, ascending. Targets are produced one
+/// 64-set window at a time as a detached `u64` bitmask, in the style of
+/// [`crate::storage::WayMask`]: nothing is allocated, and the TLB may be
+/// written while iterating.
+#[derive(Debug, Clone, Copy)]
+struct MirrorSets {
+    sets: usize,
+    /// Every set is a target (the superpage case on every real geometry).
+    everywhere: bool,
+    shift: u32,
+    regions_per_page: u64,
+    size: PageSize,
+    bundle_base: Vpn,
+    bundle_count: u32,
+    map: Map,
+    /// First set of the current window.
+    window: usize,
+    bits: u64,
+}
+
+impl MirrorSets {
+    /// Target bitmask of the 64 sets starting at `lo`.
+    fn window_mask(&self, lo: usize) -> u64 {
+        let width = (self.sets - lo).min(64);
+        if self.everywhere {
+            return if width == 64 {
+                u64::MAX
+            } else {
+                (1u64 << width) - 1
+            };
+        }
+        let mut bits = 0u64;
+        for pos in (0..self.bundle_count).filter(|&p| self.map.contains(p)) {
+            let first = self
+                .bundle_base
+                .add_4k(u64::from(pos) * self.size.pages_4k());
+            for r in 0..self.regions_per_page {
+                let region = first.add_4k(r << self.shift);
+                let set = (region.index_bits(self.shift) as usize) & (self.sets - 1);
+                if (lo..lo + width).contains(&set) {
+                    bits |= 1u64 << (set - lo);
+                }
+            }
+        }
+        bits
+    }
+}
+
+impl Iterator for MirrorSets {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.window += 64;
+            if self.window >= self.sets {
+                return None;
+            }
+            self.bits = self.window_mask(self.window);
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.window + bit)
+    }
+}
+
 /// The MIX TLB (paper Secs. 3-4): small-page index bits for every page
 /// size, superpage entries mirrored across sets, contiguous superpages
 /// coalesced into single entries, duplicates merged lazily on lookup.
@@ -254,6 +325,9 @@ impl MixEntry {
 pub struct MixTlb {
     config: MixTlbConfig,
     storage: SetStorage<MixEntry>,
+    /// Per set: the set may hold entries with equal duplicate keys, so
+    /// the next probe must scan it (see `eliminate_duplicates`).
+    needs_dedup: Vec<bool>,
     stats: TlbStats,
 }
 
@@ -268,6 +342,7 @@ impl MixTlb {
         config.validate();
         let storage = SetStorage::new(config.sets, config.ways);
         MixTlb {
+            needs_dedup: vec![false; config.sets],
             config,
             storage,
             stats: TlbStats::default(),
@@ -330,95 +405,94 @@ impl MixTlb {
     /// Merges same-tag duplicate entries in a set into the first, removing
     /// the rest (paper Sec. 4.3: duplicates from blind mirroring are
     /// eliminated when the set is next probed).
+    ///
+    /// Sets not marked in `needs_dedup` are skipped: their entries have
+    /// pairwise distinct duplicate keys, so the scan would be a no-op. A
+    /// scan that merged every duplicate it met leaves exactly that state
+    /// and clears the mark. A scan that refused a merge keeps it: in
+    /// Length mode a later merge in the same scan can make a refused pair
+    /// adjacent, and only the next scan joins them. Fills mark a set when
+    /// they insert an entry whose tag key another entry of the set
+    /// already holds; removals, merges and dirty-bit updates change no
+    /// duplicate key and leave the mark alone.
     fn eliminate_duplicates(&mut self, set: usize) {
-        type DupKey = (PageSize, Vpn, u64, Asid);
-        // Fast path: the validity bitmask proves a set with at most one
-        // entry cannot hold duplicates, without touching the entry plane.
-        if self.storage.set_occupancy(set) <= 1 {
+        if !self.needs_dedup[set] {
             return;
         }
-        // Ways are capped at 64 by the storage plane, so the seen-list
-        // lives on the stack — the probe loop allocates nothing.
-        let mut seen: [Option<(usize, DupKey)>; 64] = [None; 64];
-        let mut seen_len = 0usize;
-        let mut mask = self.storage.valid_mask(set);
-        while mask != 0 {
-            let way = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let Some(e) = self.storage.get(set, way) else { continue };
-            let key: DupKey = (e.size, e.bundle_base, e.anchor_pfn, e.asid);
-            let hit = seen[..seen_len]
-                .iter()
-                .flatten()
-                .find(|&&(_, k)| k == key)
-                .copied();
-            let mut merged = false;
-            if let Some((first_way, _)) = hit {
+        let dup_key = |e: &MixEntry| (e.size, e.bundle_base, e.anchor_pfn, e.asid);
+        // Ways kept so far, each the first of its duplicate key; a later
+        // duplicate merges into the lowest such way. Duplicates share a
+        // tag key, so the key plane narrows the search.
+        let mut kept = 0u64;
+        let mut refused = false;
+        for way in self.storage.occupied(set) {
+            let Some(&dup) = self.storage.get(set, way) else {
+                continue;
+            };
+            let first = self
+                .storage
+                .keyed(set, |k| k == dup.key())
+                .filter(|&w| kept & (1u64 << w) != 0)
+                .find(|&w| {
+                    self.storage
+                        .get(set, w)
+                        .is_some_and(|e| dup_key(e) == dup_key(&dup))
+                });
+            if let Some(first_way) = first {
                 // Merge when the representation allows. Disjoint length
                 // ranges are *not* duplicates — they are different
                 // coalesced fragments of the bundle — and both stay.
-                // lint: allow(panic) — way index came from the duplicate scan over the same storage
-                let dup_map = self.storage.get(set, way).expect("way is valid").map;
-                // lint: allow(panic) — same occupied way as the line above
-                let dup_dirty = self.storage.get(set, way).expect("way is valid").dirty;
                 let first = self
                     .storage
                     .get_mut(set, first_way)
-                    // lint: allow(panic) — first_way was recorded from an occupied slot in this scan
+                    // lint: allow(panic) — first_way was kept from an occupied slot in this scan
                     .expect("first entry is valid");
-                let mut merged_map = first.map;
-                if merged_map.merge(&dup_map) {
-                    first.map = merged_map;
-                    first.dirty = first.dirty && dup_dirty;
+                if first.map.merge(&dup.map) {
+                    first.dirty = first.dirty && dup.dirty;
                     self.storage.remove(set, way);
                     self.stats.dup_merges += 1;
-                    merged = true;
+                    continue;
                 }
+                refused = true;
             }
-            if !merged {
-                // Each way records at most once and `mask` is a u64, so
-                // the seen-list cannot outgrow its 64 slots.
-                // lint: allow(panic) — restates the storage plane's way cap
-                assert!(seen_len < 64, "seen-list outgrew the 64-way cap");
-                seen[seen_len] = Some((way, key));
-                seen_len += 1;
-            }
+            kept |= 1u64 << way;
         }
+        self.needs_dedup[set] = refused;
     }
 
     /// The sets a fill must mirror into: every set touched by a 4 KB region
     /// of a present page. With `pages_4k ≥ sets × small_bundle` (all real
     /// configurations) that is every set.
-    fn mirror_sets(&self, size: PageSize, bundle_base: Vpn, map: &Map) -> Vec<usize> {
+    fn mirror_sets(&self, entry: &MixEntry) -> MirrorSets {
         let shift = self.index_shift();
-        let regions_per_page = (size.pages_4k() >> shift).max(1);
-        if regions_per_page >= self.config.sets as u64 {
-            return (0..self.config.sets).collect();
-        }
-        let bundle_count = self.bundle_count(size);
-        let mut sets = BTreeSet::new();
-        for pos in 0..bundle_count {
-            if !map.contains(pos) {
-                continue;
-            }
-            let first_vpn = bundle_base.raw() + u64::from(pos) * size.pages_4k();
-            for r in 0..regions_per_page {
-                let vpn = Vpn::new(first_vpn + (r << shift));
-                sets.insert(self.set_of(vpn));
-            }
-        }
-        sets.into_iter().collect()
+        let regions_per_page = (entry.size.pages_4k() >> shift).max(1);
+        let mut targets = MirrorSets {
+            sets: self.config.sets,
+            everywhere: regions_per_page >= self.config.sets as u64,
+            shift,
+            regions_per_page,
+            size: entry.size,
+            bundle_base: entry.bundle_base,
+            bundle_count: self.bundle_count(entry.size),
+            map: entry.map,
+            window: 0,
+            bits: 0,
+        };
+        targets.bits = targets.window_mask(0);
+        targets
     }
 
-    /// Builds the coalesced map for a fill: scans `line` for translations
-    /// in the same bundle that are contiguous with `requested` (same size
-    /// and permissions, accessed, physically consistent with the anchor).
-    fn build_fill(
-        &self,
-        asid: Asid,
-        requested: &Translation,
-        line: &[Translation],
-    ) -> (MixEntry, u32) {
+    /// Builds the coalesced entry for a fill: scans `line` for
+    /// translations in the same bundle that are contiguous with
+    /// `requested` (same size and permissions, accessed, physically
+    /// consistent with the anchor).
+    ///
+    /// Present and dirty positions live in two `u128` bitmasks over a
+    /// 128-position window of the bundle: the whole bundle whenever it
+    /// has at most 128 positions (every bitmap bundle, by validation),
+    /// otherwise the window around the requested position, which holds
+    /// any run a line of up to 64 translations can form.
+    fn build_fill(&self, asid: Asid, requested: &Translation, line: &[Translation]) -> MixEntry {
         let size = requested.size;
         let base = self.bundle_base(requested.vpn, size);
         let anchor = requested
@@ -426,8 +500,16 @@ impl MixTlb {
             .raw()
             .wrapping_sub(requested.vpn.raw() - base.raw());
         let bundle_count = self.bundle_count(size);
-        let mut positions: Vec<(u32, bool)> = Vec::with_capacity(line.len().max(1));
-        let push = |t: &Translation, positions: &mut Vec<(u32, bool)>| {
+        let req_pos = self.pos_of(requested.vpn, size);
+        let lo = if bundle_count <= 128 {
+            0
+        } else {
+            req_pos.saturating_sub(64).min(bundle_count - 128)
+        };
+        let bit = |pos: u32| 1u128 << (pos - lo);
+        let mut present = 0u128;
+        let mut dirty_bits = 0u128;
+        for t in line.iter().chain(std::iter::once(requested)) {
             if t.size == size
                 && t.perms == requested.perms
                 && t.accessed
@@ -437,59 +519,67 @@ impl MixTlb {
                 && t.pfn.raw() == anchor.wrapping_add(t.vpn.raw() - base.raw())
             {
                 let pos = self.pos_of(t.vpn, size);
-                if !positions.iter().any(|&(p, _)| p == pos) {
-                    positions.push((pos, t.dirty));
+                // The first occurrence of a position decides its dirty bit.
+                if (lo..lo + 128).contains(&pos) && present & bit(pos) == 0 {
+                    present |= bit(pos);
+                    if t.dirty {
+                        dirty_bits |= bit(pos);
+                    }
                 }
             }
-        };
-        for t in line {
-            push(t, &mut positions);
         }
-        push(requested, &mut positions);
-        debug_assert!(!positions.is_empty(), "requested translation always qualifies");
-        let req_pos = self.pos_of(requested.vpn, size);
-        let map = match self.config.kind {
-            CoalesceKind::Bitmap => {
-                let mut bits = 0u128;
-                for &(p, _) in &positions {
-                    bits |= 1u128 << p;
-                }
-                Map::Bits(bits)
-            }
+        debug_assert!(present != 0, "requested translation always qualifies");
+        let (map, covered) = match self.config.kind {
+            CoalesceKind::Bitmap => (Map::Bits(present), present),
             CoalesceKind::Length => {
                 // Maximal contiguous run of positions containing req_pos.
-                let present: BTreeSet<u32> = positions.iter().map(|&(p, _)| p).collect();
                 let mut start = req_pos;
-                while start > 0 && present.contains(&(start - 1)) {
+                while start > lo && present & bit(start - 1) != 0 {
                     start -= 1;
                 }
                 let mut end = req_pos + 1;
-                while end < bundle_count && present.contains(&end) {
+                while end < (lo + 128).min(bundle_count) && present & bit(end) != 0 {
                     end += 1;
                 }
-                Map::Range {
-                    start,
-                    len: end - start,
-                }
+                let run = (start..end).fold(0u128, |m, p| m | bit(p));
+                (
+                    Map::Range {
+                        start,
+                        len: end - start,
+                    },
+                    run,
+                )
             }
         };
-        // Entry dirty bit: AND over the coalesced translations (Sec. 4.4).
-        let dirty = positions
-            .iter()
-            .filter(|&&(p, _)| map.contains(p))
-            .all(|&(_, d)| d);
-        (
-            MixEntry {
-                size,
-                bundle_base: base,
-                anchor_pfn: anchor,
-                map,
-                perms: requested.perms,
-                dirty,
-                asid,
-            },
-            map.count(),
-        )
+        MixEntry {
+            size,
+            bundle_base: base,
+            anchor_pfn: anchor,
+            map,
+            perms: requested.perms,
+            // Entry dirty bit: AND over the coalesced translations (Sec. 4.4).
+            dirty: covered & present & !dirty_bits == 0,
+            asid,
+        }
+    }
+
+    /// The first way of `set` whose entry covers `vpn` and satisfies
+    /// `visible`. The key plane is compared against one candidate key per
+    /// page size; only key matches read the entry plane.
+    fn covering_way(
+        &self,
+        set: usize,
+        vpn: Vpn,
+        mut visible: impl FnMut(&MixEntry) -> bool,
+    ) -> Option<usize> {
+        let keys = PageSize::ALL.map(|size| self.bundle_base(vpn, size).sized_key(size));
+        self.storage.keyed(set, |k| keys.contains(&k)).find(|&way| {
+            self.storage.get(set, way).is_some_and(|e| {
+                visible(e)
+                    && e.bundle_base == self.bundle_base(vpn, e.size)
+                    && e.map.contains(self.pos_of(vpn, e.size))
+            })
+        })
     }
 
     /// The ASID-aware lookup body; `lookup`/`lookup_asid` both land here.
@@ -501,22 +591,7 @@ impl MixTlb {
         // All entries in the probed set are tag-checked in parallel; this
         // is also when duplicate mirrors are detected and merged.
         self.eliminate_duplicates(set);
-        let mut found: Option<usize> = None;
-        let mut mask = self.storage.valid_mask(set);
-        while mask != 0 {
-            let way = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let Some(e) = self.storage.get(set, way) else { continue };
-            if !e.asid.matches(asid) {
-                continue;
-            }
-            let base = self.bundle_base(vpn, e.size);
-            if e.bundle_base == base && e.map.contains(self.pos_of(vpn, e.size)) {
-                found = Some(way);
-                break;
-            }
-        }
-        let Some(way) = found else {
+        let Some(way) = self.covering_way(set, vpn, |e| e.asid.matches(asid)) else {
             self.stats.misses += 1;
             return Lookup::Miss;
         };
@@ -545,25 +620,6 @@ impl MixTlb {
         let e = *self.storage.get(set, way).expect("hit way is valid");
         let pos = self.pos_of(vpn, e.size);
         self.stats.record_hit(e.size);
-        // The maximal contiguous run around the hit: what an inner MIX TLB
-        // can absorb on refill.
-        let bundle_count = self.bundle_count(e.size);
-        let mut run_start = pos;
-        while run_start > 0 && e.map.contains(run_start - 1) {
-            run_start -= 1;
-        }
-        let mut run_end = pos + 1;
-        while run_end < bundle_count && e.map.contains(run_end) {
-            run_end += 1;
-        }
-        let run_first = Translation {
-            vpn: Vpn::new(e.bundle_base.raw() + u64::from(run_start) * e.size.pages_4k()),
-            pfn: e.pfn_for(run_start),
-            size: e.size,
-            perms: e.perms,
-            accessed: true,
-            dirty: e.dirty,
-        };
         Lookup::Hit {
             translation: Translation {
                 vpn: Vpn::new(e.bundle_base.raw() + u64::from(pos) * e.size.pages_4k()),
@@ -574,20 +630,43 @@ impl MixTlb {
                 dirty: e.dirty,
             },
             dirty_microop,
-            run: Some(crate::api::CoalescedRun {
-                first: run_first,
-                len: run_end - run_start,
-            }),
+            run: Some(self.run_around(&e, pos)),
+        }
+    }
+
+    /// The maximal contiguous run of `e` around position `pos`: what an
+    /// inner MIX TLB can absorb on refill.
+    fn run_around(&self, e: &MixEntry, pos: u32) -> crate::api::CoalescedRun {
+        let bundle_count = self.bundle_count(e.size);
+        let mut run_start = pos;
+        while run_start > 0 && e.map.contains(run_start - 1) {
+            run_start -= 1;
+        }
+        let mut run_end = pos + 1;
+        while run_end < bundle_count && e.map.contains(run_end) {
+            run_end += 1;
+        }
+        crate::api::CoalescedRun {
+            first: Translation {
+                vpn: Vpn::new(e.bundle_base.raw() + u64::from(run_start) * e.size.pages_4k()),
+                pfn: e.pfn_for(run_start),
+                size: e.size,
+                perms: e.perms,
+                accessed: true,
+                dirty: e.dirty,
+            },
+            len: run_end - run_start,
         }
     }
 
     /// The ASID-aware fill body; `fill`/`fill_asid` both land here.
     fn fill_tagged(&mut self, asid: Asid, vpn: Vpn, requested: &Translation, line: &[Translation]) {
         self.stats.fills += 1;
-        let (entry, _coalesced) = self.build_fill(asid, requested, line);
+        let entry = self.build_fill(asid, requested, line);
+        let key = entry.key();
         let probed_set = self.set_of(vpn);
-        let targets = self.mirror_sets(entry.size, entry.bundle_base, &entry.map);
-        for set in targets {
+        for set in self.mirror_sets(&entry) {
+            let same_tag = self.storage.keyed(set, |k| k == key);
             // Only the set the missing lookup probed is tag-checked for a
             // same-bundle entry to merge into — this is how coalescing
             // extends past one cache line (Sec. 4.2). Other sets are
@@ -604,12 +683,15 @@ impl MixTlb {
                 // must match exactly — a global entry never absorbs a
                 // tagged fragment or vice versa.
                 let dirty_policy = self.config.dirty_policy;
-                if let Some(way) = self.storage.find(set, |e| {
-                    e.tag_matches(entry.size, entry.bundle_base)
-                        && e.anchor_pfn == entry.anchor_pfn
-                        && e.perms == entry.perms
-                        && e.asid == entry.asid
-                        && (dirty_policy == DirtyPolicy::AndOfBundle || e.dirty == entry.dirty)
+                let mut candidates = same_tag;
+                if let Some(way) = candidates.find(|&w| {
+                    self.storage.get(set, w).is_some_and(|e| {
+                        e.tag_matches(entry.size, entry.bundle_base)
+                            && e.anchor_pfn == entry.anchor_pfn
+                            && e.perms == entry.perms
+                            && e.asid == entry.asid
+                            && (dirty_policy == DirtyPolicy::AndOfBundle || e.dirty == entry.dirty)
+                    })
                 }) {
                     self.storage.touch(set, way);
                     // lint: allow(panic) — way index came from the find() just above
@@ -620,6 +702,8 @@ impl MixTlb {
                         if existing.map.count() > before {
                             self.stats.coalesce_merges += 1;
                         }
+                        // A merge changes no duplicate key, so it cannot
+                        // dirty a clean set.
                         self.stats.entries_written += 1;
                         continue;
                     }
@@ -630,16 +714,16 @@ impl MixTlb {
             }
             if set != probed_set && self.config.mirror_policy == MirrorPolicy::NonEvicting {
                 // Opportunistic mirror: only an invalid way may take it.
-                if let Some(way) =
-                    (0..self.storage.ways()).find(|&w| self.storage.get(set, w).is_none())
-                {
+                if let Some(way) = self.storage.free_way(set) {
                     self.storage.insert_at(set, way, entry);
                     self.stats.entries_written += 1;
+                    self.needs_dedup[set] |= same_tag.len() > 0;
                 }
                 continue;
             }
             let evicted = self.storage.insert_lru(set, entry);
             self.stats.entries_written += 1;
+            self.needs_dedup[set] |= same_tag.len() > 0;
             if evicted.is_some() {
                 self.stats.evictions += 1;
             }
@@ -653,11 +737,11 @@ impl MixTlb {
         self.stats.invalidations += 1;
         let base = self.bundle_base(vpn, size);
         let pos = self.pos_of(vpn, size);
+        let key = base.sized_key(size);
         for set in 0..self.config.sets {
-            for way in self
-                .storage
-                .find_all(set, |e| e.tag_matches(size, base) && e.asid.matches(asid))
-            {
+            for way in self.storage.find_all(set, key, |e| {
+                e.tag_matches(size, base) && e.asid.matches(asid)
+            }) {
                 match self.config.kind {
                     CoalesceKind::Bitmap => {
                         let remove = {
@@ -879,10 +963,9 @@ impl MixTlb {
         let base = self.bundle_base(vpn, size);
         let pos = self.pos_of(vpn, size);
         let set = self.set_of(vpn); // BUG: superpage entries live in *all* sets
-        for way in self
-            .storage
-            .find_all(set, |e| e.tag_matches(size, base) && e.asid.matches(Asid::UNTAGGED))
-        {
+        for way in self.storage.find_all(set, base.sized_key(size), |e| {
+            e.tag_matches(size, base) && e.asid.matches(Asid::UNTAGGED)
+        }) {
             let remove = {
                 let Some(e) = self.storage.get_mut(set, way) else { continue };
                 match &mut e.map {
@@ -969,40 +1052,9 @@ impl TlbDevice for MixTlb {
 
     fn peek_run(&self, vpn: Vpn) -> Option<crate::api::CoalescedRun> {
         let set = self.set_of(vpn);
-        for way in 0..self.storage.ways() {
-            let Some(e) = self.storage.get(set, way) else { continue };
-            let base = self.bundle_base(vpn, e.size);
-            if e.bundle_base != base {
-                continue;
-            }
-            let pos = self.pos_of(vpn, e.size);
-            if !e.map.contains(pos) {
-                continue;
-            }
-            let bundle_count = self.bundle_count(e.size);
-            let mut run_start = pos;
-            while run_start > 0 && e.map.contains(run_start - 1) {
-                run_start -= 1;
-            }
-            let mut run_end = pos + 1;
-            while run_end < bundle_count && e.map.contains(run_end) {
-                run_end += 1;
-            }
-            return Some(crate::api::CoalescedRun {
-                first: Translation {
-                    vpn: Vpn::new(
-                        e.bundle_base.raw() + u64::from(run_start) * e.size.pages_4k(),
-                    ),
-                    pfn: e.pfn_for(run_start),
-                    size: e.size,
-                    perms: e.perms,
-                    accessed: true,
-                    dirty: e.dirty,
-                },
-                len: run_end - run_start,
-            });
-        }
-        None
+        let way = self.covering_way(set, vpn, |_| true)?;
+        let e = self.storage.get(set, way)?;
+        Some(self.run_around(e, self.pos_of(vpn, e.size)))
     }
 
     fn invalidate(&mut self, vpn: Vpn, size: PageSize) {
@@ -1015,6 +1067,7 @@ impl TlbDevice for MixTlb {
 
     fn flush(&mut self) {
         self.storage.clear();
+        self.needs_dedup.fill(false);
     }
 
     fn flush_asid(&mut self, asid: Asid) {
@@ -1023,8 +1076,10 @@ impl TlbDevice for MixTlb {
             return;
         }
         for set in 0..self.config.sets {
-            for way in self.storage.find_all(set, |e| e.asid == asid) {
-                self.storage.remove(set, way);
+            for way in self.storage.occupied(set) {
+                if self.storage.get(set, way).is_some_and(|e| e.asid == asid) {
+                    self.storage.remove(set, way);
+                }
             }
         }
     }
@@ -1265,8 +1320,71 @@ mod tests {
         assert!(tlb.stats().dup_merges >= 1);
         let dups = tlb
             .storage
-            .find_all(0, |en| en.tag_matches(PageSize::Size2M, Vpn::new(0x400)));
+            .find_all(0, Vpn::new(0x400).sized_key(PageSize::Size2M), |en| {
+                en.tag_matches(PageSize::Size2M, Vpn::new(0x400))
+            });
         assert_eq!(dups.len(), 1, "duplicates must be eliminated");
+    }
+
+    #[test]
+    fn length_fragments_joined_by_a_merge_are_joined_on_the_next_scan() {
+        // Three blind mirrors of one Length bundle land in set 0 in the
+        // order [0,2), [3,4), [2,3). The first scan refuses [3,4) (not
+        // adjacent to [0,2)), then merges [2,3) into [0,2) — which makes
+        // [0,3) and [3,4) adjacent. Only a second scan joins them, so the
+        // set must stay marked for deduplication after the first.
+        let mut tlb = MixTlb::new(MixTlbConfig {
+            super_bundle: 4,
+            fill_merge: FillMerge::ProbedSetOnly,
+            mirror_policy: MirrorPolicy::Evicting,
+            ..MixTlbConfig::l2(2, 4)
+        });
+        let p: Vec<Translation> = (0..4)
+            .map(|i| sp2m(0x1000 + i * 512, 0x8000 + i * 512))
+            .collect();
+        // Odd VPNs probe set 1, so set 0 receives each fill blindly.
+        tlb.fill(Vpn::new(0x1001), &p[0], &[p[0], p[1]]);
+        tlb.fill(p[3].vpn.add_4k(1), &p[3], &[p[3]]);
+        tlb.fill(p[2].vpn.add_4k(1), &p[2], &[p[2]]);
+        assert_eq!(tlb.storage.occupied(0).len(), 3);
+        assert_eq!(hit_pfn(&mut tlb, 0x1000), Some(0x8000));
+        assert_eq!(tlb.stats().dup_merges, 1);
+        assert_eq!(tlb.storage.occupied(0).len(), 2, "[0,3) and [3,4) remain");
+        assert_eq!(hit_pfn(&mut tlb, 0x1002), Some(0x8002));
+        assert_eq!(tlb.stats().dup_merges, 2);
+        assert_eq!(tlb.storage.occupied(0).len(), 1, "one [0,4) entry");
+        assert_eq!(hit_pfn(&mut tlb, 0x1600), Some(0x8600));
+        // Set 1 merged at fill time into the same [0,3) + [3,4) shape;
+        // its first probe joins them.
+        assert_eq!(hit_pfn(&mut tlb, 0x1601), Some(0x8601));
+        assert_eq!(tlb.stats().dup_merges, 3);
+        assert!(tlb.check_invariants_strict().is_ok());
+    }
+
+    #[test]
+    fn only_writes_that_share_a_tag_mark_a_set_for_deduplication() {
+        let mut tlb = MixTlb::new(MixTlbConfig::l1(2, 4));
+        let b = sp2m(0x400, 0x2000);
+        tlb.fill(b.vpn, &b, &[b]);
+        assert_eq!(
+            tlb.needs_dedup,
+            [false, false],
+            "a fresh tag duplicates nothing"
+        );
+        // Refill probing set 1: set 1 merges in place, set 0 gets a
+        // blind duplicate mirror.
+        tlb.fill(Vpn::new(0x401), &b, &[b]);
+        assert_eq!(tlb.needs_dedup, [true, false]);
+        assert_eq!(hit_pfn(&mut tlb, 0x400), Some(0x2000));
+        assert_eq!(tlb.stats().dup_merges, 1);
+        assert_eq!(
+            tlb.needs_dedup,
+            [false, false],
+            "a scan that refused nothing cleans the set"
+        );
+        tlb.fill(Vpn::new(0x401), &b, &[b]);
+        tlb.flush();
+        assert_eq!(tlb.needs_dedup, [false, false]);
     }
 
     #[test]

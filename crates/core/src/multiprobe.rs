@@ -10,7 +10,7 @@
 use mixtlb_types::{AccessKind, PageSize, Permissions, Pfn, Translation, Vpn};
 
 use crate::api::{Lookup, TlbDevice, TlbStats};
-use crate::storage::SetStorage;
+use crate::storage::{SetStorage, SlotKey};
 
 /// Geometry of a [`MultiProbeTlb`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +56,12 @@ struct Entry {
     pfn: Pfn,
     perms: Permissions,
     dirty: bool,
+}
+
+impl SlotKey for Entry {
+    fn key(&self) -> u64 {
+        self.vpn.sized_key(self.size)
+    }
 }
 
 /// A hash-rehash TLB. Probe costs accumulate per size tried, making the
@@ -126,7 +132,7 @@ impl MultiProbeTlb {
         self.stats.entries_read += self.config.ways as u64;
         if let Some(way) = self
             .storage
-            .find(set, |e| e.size == size && e.vpn == base)
+            .find(set, base.sized_key(size), |e| e.size == size && e.vpn == base)
         {
             self.storage.touch(set, way);
             // lint: allow(panic) — way index came from the find() in the surrounding condition
@@ -178,7 +184,7 @@ impl MultiProbeTlb {
         let set = self.set_of(t.vpn, t.size);
         if let Some(way) = self
             .storage
-            .find(set, |e| e.size == t.size && e.vpn == t.vpn)
+            .find(set, t.vpn.sized_key(t.size), |e| e.size == t.size && e.vpn == t.vpn)
         {
             self.storage.touch(set, way);
             // lint: allow(panic) — way index came from the find() in the surrounding condition
@@ -237,7 +243,7 @@ impl TlbDevice for MultiProbeTlb {
         let set = self.set_of(base, size);
         for way in self
             .storage
-            .find_all(set, |e| e.size == size && e.vpn == base)
+            .find_all(set, base.sized_key(size), |e| e.size == size && e.vpn == base)
         {
             self.storage.remove(set, way);
         }

@@ -3,7 +3,7 @@
 use mixtlb_types::{AccessKind, PageSize, Permissions, Pfn, Translation, Vpn};
 
 use crate::api::{Lookup, TlbDevice, TlbStats};
-use crate::storage::SetStorage;
+use crate::storage::{SetStorage, SlotKey};
 
 /// Geometry of a [`SingleSizeTlb`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +46,12 @@ struct Entry {
     pfn: Pfn,
     perms: Permissions,
     dirty: bool,
+}
+
+impl SlotKey for Entry {
+    fn key(&self) -> u64 {
+        self.vpn.raw()
+    }
 }
 
 /// A conventional set-associative (or fully-associative) TLB caching
@@ -113,7 +119,7 @@ impl SingleSizeTlb {
         let set = self.set_of(base);
         self.stats.sets_probed += 1;
         self.stats.entries_read += self.config.ways as u64;
-        if let Some(way) = self.storage.find(set, |e| e.vpn == base) {
+        if let Some(way) = self.storage.find(set, base.raw(), |e| e.vpn == base) {
             self.storage.touch(set, way);
             // lint: allow(panic) — way index came from the find() in the surrounding condition
             let entry = self.storage.get_mut(set, way).expect("found way is valid");
@@ -145,7 +151,7 @@ impl SingleSizeTlb {
         debug_assert_eq!(t.size, self.config.size);
         let set = self.set_of(t.vpn);
         // Refresh an existing entry instead of duplicating it.
-        if let Some(way) = self.storage.find(set, |e| e.vpn == t.vpn) {
+        if let Some(way) = self.storage.find(set, t.vpn.raw(), |e| e.vpn == t.vpn) {
             self.storage.touch(set, way);
             // lint: allow(panic) — way index came from the find() in the surrounding condition
             let entry = self.storage.get_mut(set, way).expect("found way is valid");
@@ -173,7 +179,7 @@ impl SingleSizeTlb {
     pub(crate) fn invalidate_inner(&mut self, vpn: Vpn) {
         let base = vpn.align_down(self.config.size);
         let set = self.set_of(base);
-        for way in self.storage.find_all(set, |e| e.vpn == base) {
+        for way in self.storage.find_all(set, base.raw(), |e| e.vpn == base) {
             self.storage.remove(set, way);
         }
     }

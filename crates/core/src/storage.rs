@@ -1,12 +1,23 @@
 //! Generic set-associative storage with per-set true-LRU replacement,
 //! shared by every TLB design in the workspace.
 //!
-//! Layout is structure-of-arrays: entries, LRU stamps, and a per-set
-//! validity bitmask live in three dense direct-indexed planes. The
-//! bitmask is the probe fast path — `valid_mask` hands a whole set's
-//! occupancy to the caller as one `u64`, so hot loops iterate set bits
+//! Layout is structure-of-arrays: entries, tag keys, LRU stamps, and a
+//! per-set validity bitmask live in four dense direct-indexed planes. The
+//! bitmask is the probe fast path — `occupied` hands a whole set's
+//! occupancy to the caller as one `u64` mask, so hot loops iterate set bits
 //! instead of testing `Option`s way by way, and an empty or singleton
-//! set is recognized without touching the entry plane at all.
+//! set is recognized without touching the entry plane at all. The key
+//! plane is the tag-compare fast path: one `u64` per slot (a whole 8-way
+//! set in one cache line), so a probe compares keys and reads an entry
+//! only on a key match.
+
+/// An entry's tag key for the dense key plane: a `u64` derived from the
+/// fields probes compare. Equal tags must give equal keys; unequal tags
+/// may collide, because every key match is confirmed against the entry.
+pub(crate) trait SlotKey {
+    /// The entry's key.
+    fn key(&self) -> u64;
+}
 
 /// A set of way indices as a bitmask, yielded in ascending order.
 /// Returned by [`SetStorage::find_all`]; being `Copy` and detached from
@@ -34,18 +45,21 @@ impl Iterator for WayMask {
 
 impl ExactSizeIterator for WayMask {}
 
-/// Set-associative slots of entries `E` with LRU stamps and a validity
-/// bitmask plane (one `u64` per set, hence at most 64 ways).
+/// Set-associative slots of entries `E` with tag keys, LRU stamps and a
+/// validity bitmask plane (one `u64` per set, hence at most 64 ways).
 #[derive(Debug, Clone)]
 pub(crate) struct SetStorage<E> {
     ways: usize,
     slots: Vec<Option<E>>,
+    /// `E::key` of each slot's entry, written on every insert. Stale for
+    /// invalid ways: every reader masks with `valid`.
+    keys: Vec<u64>,
     stamps: Vec<u64>,
     valid: Vec<u64>,
     tick: u64,
 }
 
-impl<E> SetStorage<E> {
+impl<E: SlotKey> SetStorage<E> {
     pub(crate) fn new(sets: usize, ways: usize) -> SetStorage<E> {
         assert!(sets > 0 && ways > 0, "TLB geometry must be non-zero");
         assert!(ways <= 64, "validity bitmask plane holds at most 64 ways");
@@ -53,6 +67,7 @@ impl<E> SetStorage<E> {
         SetStorage {
             ways,
             slots: std::iter::repeat_with(|| None).take(slots).collect(),
+            keys: vec![0; slots],
             stamps: vec![0; slots],
             valid: vec![0; sets],
             tick: 0,
@@ -72,11 +87,26 @@ impl<E> SetStorage<E> {
         }
     }
 
-    /// Occupancy bitmask of `set`: bit `w` is set iff way `w` holds an
-    /// entry. The allocation-free alternative to [`Self::find_all`] for
-    /// hot probe loops.
-    pub(crate) fn valid_mask(&self, set: usize) -> u64 {
-        self.valid[set]
+    /// The occupied ways of `set`, ascending, as a detached mask.
+    pub(crate) fn occupied(&self, set: usize) -> WayMask {
+        WayMask(self.valid[set])
+    }
+
+    /// The occupied ways of `set` whose key satisfies `accept`, ascending.
+    /// Reads only the key plane: one cache line for an 8-way set.
+    pub(crate) fn keyed(&self, set: usize, mut accept: impl FnMut(u64) -> bool) -> WayMask {
+        let base = set * self.ways;
+        let mut mask = 0u64;
+        for (w, &k) in self.keys[base..base + self.ways].iter().enumerate() {
+            mask |= u64::from(accept(k)) << w;
+        }
+        WayMask(mask & self.valid[set])
+    }
+
+    /// The lowest invalid way of `set`, if any — straight off the bitmask.
+    pub(crate) fn free_way(&self, set: usize) -> Option<usize> {
+        let free = !self.valid[set] & self.ways_mask();
+        (free != 0).then(|| free.trailing_zeros() as usize)
     }
 
     /// Immutable view of a way's slot.
@@ -84,7 +114,9 @@ impl<E> SetStorage<E> {
         self.slots[set * self.ways + way].as_ref()
     }
 
-    /// Mutable view of a way's slot.
+    /// Mutable view of a way's slot. Callers must not change the fields
+    /// the entry's key is derived from: the key plane is written only on
+    /// insert.
     pub(crate) fn get_mut(&mut self, set: usize, way: usize) -> Option<&mut E> {
         self.slots[set * self.ways + way].as_mut()
     }
@@ -95,29 +127,40 @@ impl<E> SetStorage<E> {
         self.stamps[set * self.ways + way] = self.tick;
     }
 
-    /// Index of the first way in `set` whose entry satisfies `pred`.
-    pub(crate) fn find(&self, set: usize, mut pred: impl FnMut(&E) -> bool) -> Option<usize> {
+    /// Index of the first way in `set` whose key is `key` and whose entry
+    /// satisfies `pred`.
+    pub(crate) fn find(
+        &self,
+        set: usize,
+        key: u64,
+        mut pred: impl FnMut(&E) -> bool,
+    ) -> Option<usize> {
+        // Early exit on the first confirmed match: probes of small sets
+        // usually hit at a low way.
+        let base = set * self.ways;
         let mut mask = self.valid[set];
         while mask != 0 {
             let w = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            if self.get(set, w).is_some_and(&mut pred) {
+            if self.keys[base + w] == key && self.get(set, w).is_some_and(&mut pred) {
                 return Some(w);
             }
         }
         None
     }
 
-    /// All ways in `set` whose entries satisfy `pred`, as a detached way
-    /// bitmask. The mask is `Copy`, so callers may mutate the storage
-    /// (remove, re-insert) while iterating — and nothing is allocated,
-    /// which keeps invalidation sweeps off the heap.
-    pub(crate) fn find_all(&self, set: usize, mut pred: impl FnMut(&E) -> bool) -> WayMask {
+    /// All ways in `set` whose key is `key` and whose entries satisfy
+    /// `pred`, as a detached way bitmask. The mask is `Copy`, so callers
+    /// may mutate the storage (remove, re-insert) while iterating — and
+    /// nothing is allocated, which keeps invalidation sweeps off the heap.
+    pub(crate) fn find_all(
+        &self,
+        set: usize,
+        key: u64,
+        mut pred: impl FnMut(&E) -> bool,
+    ) -> WayMask {
         let mut out = 0u64;
-        let mut mask = self.valid[set];
-        while mask != 0 {
-            let w = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
+        for w in self.keyed(set, |k| k == key) {
             if self.get(set, w).is_some_and(&mut pred) {
                 out |= 1u64 << w;
             }
@@ -139,15 +182,14 @@ impl<E> SetStorage<E> {
     pub(crate) fn insert_with_priority(&mut self, set: usize, entry: E, mru: bool) -> Option<E> {
         self.tick += 1;
         let base = set * self.ways;
-        let free = !self.valid[set] & self.ways_mask();
-        let way = if free != 0 {
-            free.trailing_zeros() as usize
-        } else {
-            (0..self.ways)
+        let way = match self.free_way(set) {
+            Some(way) => way,
+            None => (0..self.ways)
                 .min_by_key(|&w| self.stamps[base + w])
                 // lint: allow(panic) — ways >= 1 by construction, the min always exists
-                .expect("at least one way")
+                .expect("at least one way"),
         };
+        self.keys[base + way] = entry.key();
         let evicted = self.slots[base + way].replace(entry);
         self.valid[set] |= 1u64 << way;
         self.stamps[base + way] = if mru { self.tick } else { 0 };
@@ -158,6 +200,7 @@ impl<E> SetStorage<E> {
     /// replaceable), marking it least-recently-used so a lookup must touch
     /// it before it outranks anything.
     pub(crate) fn insert_at(&mut self, set: usize, way: usize, entry: E) {
+        self.keys[set * self.ways + way] = entry.key();
         self.slots[set * self.ways + way] = Some(entry);
         self.valid[set] |= 1u64 << way;
         self.stamps[set * self.ways + way] = 0;
@@ -184,16 +227,17 @@ impl<E> SetStorage<E> {
     pub(crate) fn occupancy(&self) -> usize {
         self.valid.iter().map(|m| m.count_ones() as usize).sum()
     }
-
-    /// Number of valid entries in one set, straight off the bitmask.
-    pub(crate) fn set_occupancy(&self, set: usize) -> usize {
-        self.valid[set].count_ones() as usize
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SlotKey for u32 {
+        fn key(&self) -> u64 {
+            u64::from(*self)
+        }
+    }
 
     #[test]
     fn insert_prefers_empty_ways() {
@@ -210,7 +254,7 @@ mod tests {
         let mut s: SetStorage<u32> = SetStorage::new(1, 2);
         s.insert_lru(0, 1);
         s.insert_lru(0, 2);
-        let w1 = s.find(0, |&e| e == 1).unwrap();
+        let w1 = s.find(0, 1, |_| true).unwrap();
         s.touch(0, w1);
         assert_eq!(s.insert_lru(0, 3), Some(2));
     }
@@ -221,12 +265,43 @@ mod tests {
         s.insert_lru(0, 5);
         s.insert_lru(0, 6);
         s.insert_lru(0, 5);
-        assert_eq!(s.find_all(0, |&e| e == 5).len(), 2);
-        assert_eq!(s.find_all(0, |&e| e == 5).collect::<Vec<_>>(), [0, 2]);
-        let w = s.find(0, |&e| e == 6).unwrap();
+        assert_eq!(s.find_all(0, 5, |_| true).len(), 2);
+        assert_eq!(s.find_all(0, 5, |_| true).collect::<Vec<_>>(), [0, 2]);
+        let w = s.find(0, 6, |_| true).unwrap();
         assert_eq!(s.remove(0, w), Some(6));
-        assert_eq!(s.find(0, |&e| e == 6), None);
+        assert_eq!(s.find(0, 6, |_| true), None);
         assert_eq!(s.occupancy(), 2);
+    }
+
+    #[test]
+    fn key_match_is_confirmed_by_the_predicate() {
+        let mut s: SetStorage<u32> = SetStorage::new(1, 4);
+        s.insert_lru(0, 7);
+        s.insert_lru(0, 7);
+        // Same key in both ways; the predicate decides.
+        assert_eq!(s.find(0, 7, |&e| e == 8), None);
+        let mut n = 0;
+        let second = |_: &u32| {
+            n += 1;
+            n == 2
+        };
+        assert_eq!(s.find_all(0, 7, second).collect::<Vec<_>>(), [1]);
+        // A key nobody holds never consults the entries at all.
+        assert_eq!(s.find(0, 9, |_| panic!("no entry has key 9")), None);
+    }
+
+    #[test]
+    fn removed_ways_leave_stale_keys_masked() {
+        let mut s: SetStorage<u32> = SetStorage::new(1, 2);
+        s.insert_lru(0, 3);
+        s.remove(0, 0);
+        assert_eq!(s.keyed(0, |k| k == 3).len(), 0);
+        assert_eq!(s.free_way(0), Some(0));
+        s.insert_at(0, 1, 4);
+        assert_eq!(s.keyed(0, |k| k == 4).collect::<Vec<_>>(), [1]);
+        assert_eq!(s.occupied(0).collect::<Vec<_>>(), [1]);
+        s.insert_at(0, 0, 4);
+        assert_eq!(s.free_way(0), None);
     }
 
     #[test]
@@ -236,23 +311,24 @@ mod tests {
         s.insert_lru(1, 2);
         s.clear();
         assert_eq!(s.occupancy(), 0);
-        assert_eq!(s.valid_mask(0), 0);
-        assert_eq!(s.valid_mask(1), 0);
+        assert_eq!(s.occupied(0).0, 0);
+        assert_eq!(s.occupied(1).0, 0);
+        assert_eq!(s.keyed(1, |k| k == 2).len(), 0);
     }
 
     #[test]
     fn validity_mask_tracks_mutations() {
         let mut s: SetStorage<u32> = SetStorage::new(1, 4);
-        assert_eq!(s.valid_mask(0), 0b0000);
+        assert_eq!(s.occupied(0).0, 0b0000);
         s.insert_lru(0, 1);
         s.insert_lru(0, 2);
-        assert_eq!(s.valid_mask(0), 0b0011);
-        assert_eq!(s.set_occupancy(0), 2);
+        assert_eq!(s.occupied(0).0, 0b0011);
+        assert_eq!(s.occupied(0).len(), 2);
         s.insert_at(0, 3, 9);
-        assert_eq!(s.valid_mask(0), 0b1011);
+        assert_eq!(s.occupied(0).0, 0b1011);
         s.remove(0, 0);
-        assert_eq!(s.valid_mask(0), 0b1010);
-        assert_eq!(s.set_occupancy(0), 2);
+        assert_eq!(s.occupied(0).0, 0b1010);
+        assert_eq!(s.occupied(0).len(), 2);
     }
 
     #[test]
@@ -261,7 +337,8 @@ mod tests {
         for i in 0..64 {
             assert_eq!(s.insert_lru(0, i), None);
         }
-        assert_eq!(s.valid_mask(0), u64::MAX);
+        assert_eq!(s.occupied(0).0, u64::MAX);
+        assert_eq!(s.keyed(0, |k| k == 63).collect::<Vec<_>>(), [63]);
         // 65th insert evicts the LRU (the first inserted).
         assert_eq!(s.insert_lru(0, 64), Some(0));
     }

@@ -93,7 +93,9 @@ proptest! {
                     );
                     // And any advertised run must consist of true mappings.
                     if let Some(run) = run {
-                        for rt in run.translations() {
+                        let mut line = Vec::new();
+                        run.expand_into(&mut line);
+                        for rt in line {
                             let origin = truth.iter().find(|x| x.covers(rt.vpn));
                             prop_assert!(
                                 origin.is_some_and(|o| o.frame_for(rt.vpn) == Some(rt.pfn)),

@@ -224,6 +224,7 @@ impl GpuScenario {
         // Misses outstanding in the current round-robin sweep approximate
         // walker queue depth.
         let mut sweep_walks = 0u64;
+        let mut run_line = Vec::new();
         for i in 0..refs {
             let sm = (i % sms as u64) as usize;
             if sm == 0 {
@@ -254,8 +255,8 @@ impl GpuScenario {
                     stats.l2_hits += 1;
                     match run {
                         Some(run) if run.len > 1 => {
-                            let line = run.translations();
-                            l1s[sm].fill(vpn, &translation, &line);
+                            run.expand_into(&mut run_line);
+                            l1s[sm].fill(vpn, &translation, &run_line);
                         }
                         _ => l1s[sm].fill(vpn, &translation, &[translation]),
                     }

@@ -2,7 +2,7 @@
 //! page-table walks through the cache hierarchy.
 
 use mixtlb_cache::{AccessResult, CacheHierarchy, HierarchyConfig, HierarchyStats, PageWalkCache};
-use mixtlb_core::{BatchAccess, Lookup, MixTlb, MixTlbConfig, TlbDevice, TlbStats};
+use mixtlb_core::{BatchAccess, CoalescedRun, Lookup, MixTlb, MixTlbConfig, TlbDevice, TlbStats};
 use mixtlb_energy::WalkTraffic;
 use mixtlb_pagetable::{NestedTranslationCache, NestedWalker, PageTable, WalkResult, Walker};
 use mixtlb_trace::TraceEvent;
@@ -230,6 +230,8 @@ pub struct TranslationEngine<'a, M = CacheHierarchy> {
     /// over. Serial-probe stalls are the change since, read whenever the
     /// counters are: a sum over probes needs no per-access bookkeeping.
     serial_probes_base: [u64; 2],
+    /// Reused fill line for coalesced runs handed down to the L1.
+    run_line: Vec<Translation>,
     stats: EngineStats,
 }
 
@@ -276,6 +278,7 @@ impl<'a, M: WalkMemory> TranslationEngine<'a, M> {
             l2_hit_cycles: 7,
             asid: Asid::UNTAGGED,
             serial_probes_base,
+            run_line: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -403,10 +406,7 @@ impl<'a, M: WalkMemory> TranslationEngine<'a, M> {
                     // hands its whole run down, so a MIX L1 can absorb the
                     // bundle instead of a lone translation.
                     match run {
-                        Some(run) if run.len > 1 => {
-                            let line = run.translations();
-                            self.hierarchy.l1.fill_asid(self.asid, vpn, &translation, &line);
-                        }
+                        Some(run) if run.len > 1 => self.fill_l1_run(vpn, &translation, &run),
                         _ => {
                             self.hierarchy
                                 .l1
@@ -453,14 +453,24 @@ impl<'a, M: WalkMemory> TranslationEngine<'a, M> {
             // as an L2-hit handdown).
             if let Some(run) = l2.peek_run(vpn) {
                 if run.len as usize > walk.line_translations.len() {
-                    let line = run.translations();
-                    self.hierarchy.l1.fill_asid(self.asid, vpn, &translation, &line);
+                    self.fill_l1_run(vpn, &translation, &run);
                     return Some(translation);
                 }
             }
         }
         self.hierarchy.l1.fill_asid(self.asid, vpn, &translation, &walk.line_translations);
         Some(translation)
+    }
+
+    /// Refills the L1 with a coalesced run handed down from the L2,
+    /// expanded into the engine's reused line buffer. Kept out of line so
+    /// the expansion does not bloat the probe loops it is called from.
+    #[inline(never)]
+    fn fill_l1_run(&mut self, vpn: Vpn, translation: &Translation, run: &CoalescedRun) {
+        run.expand_into(&mut self.run_line);
+        self.hierarchy
+            .l1
+            .fill_asid(self.asid, vpn, translation, &self.run_line);
     }
 
     /// Replays a batch of events.

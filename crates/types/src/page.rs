@@ -250,6 +250,23 @@ macro_rules! page_number {
                     None => None,
                 }
             }
+
+            /// This page number and `size`'s 2-bit entry field packed into
+            /// one `u64` — the key a dense TLB tag plane compares. Equal
+            /// `(page, size)` pairs always pack equally; the top two bits
+            /// of the page number are dropped, so a key match is a filter
+            /// that the full tag must confirm, never a proof.
+            ///
+            /// ```
+            /// # use mixtlb_types::{PageSize, Vpn};
+            /// let v = Vpn::new(0x400);
+            /// assert_eq!(v.sized_key(PageSize::Size2M), v.sized_key(PageSize::Size2M));
+            /// assert_ne!(v.sized_key(PageSize::Size2M), v.sized_key(PageSize::Size4K));
+            /// ```
+            #[inline]
+            pub const fn sized_key(self, size: PageSize) -> u64 {
+                (self.0 << 2) | size.encode() as u64
+            }
         }
 
         impl fmt::Display for $name {

@@ -10,6 +10,12 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> cargo test (tlbbench benchmark package)"
+# The benchmark package has its own workspace and builds the simulator
+# crates through path dependencies, so the workspace build above never
+# compiles it: an API change could break the benchmark unnoticed.
+cargo test -q --offline --manifest-path tlbbench/Cargo.toml
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
